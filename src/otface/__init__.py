@@ -2,7 +2,7 @@
 fused into one differentiable training objective, at desk scale."""
 
 from .backbone import BackboneConfig, ForwardOutput, forward, init_params, \
-    to_distribution
+    to_distribution, to_distributions
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -16,8 +16,6 @@ from .losses import (
     LossBreakdown,
     MarginConfig,
     cross_entropy,
-    focal_reweight,
-    hard_example_filter,
     margin_logits,
     ot_triplet_loss,
     otface_loss,
@@ -42,6 +40,7 @@ from .tensor import (
     l2_normalize,
     normalize_cols,
     normalize_rows,
+    stack,
 )
 from .trainer import TrainConfig, Trainer, TrainState, lr_at, sgd_step
 

@@ -134,3 +134,25 @@ def to_distribution(feature_maps: Tensor) -> Tensor:
         )
     d, h, w = fm.shape
     return fm.reshape(d, h * w).T
+
+
+def to_distributions(feature_maps: Tensor) -> Tensor:
+    """Batched `to_distribution`: (N, d, h, w) maps to the (N, n, d) stack
+    of per-sample distributions, in the same pixel order."""
+    fm = as_tensor(feature_maps)
+    if len(fm.shape) != 4:
+        raise ConfigurationError(
+            f"expected an (N, d, h, w) feature-map batch, got {fm.shape}"
+        )
+    count, d, h, w = fm.shape
+    return fm.reshape(count, d, h * w).mT
+
+
+def embed(images: np.ndarray, params: dict[str, Tensor], cfg: BackboneConfig,
+          batch_size: int = 256) -> np.ndarray:
+    """Unit-norm embeddings of `images`, in chunks of `batch_size`, from
+    untaped copies of `params`."""
+    frozen = {k: Tensor(v.data) for k, v in params.items()}
+    chunks = [forward(Tensor(images[i:i + batch_size]), frozen, cfg).embedding.data
+              for i in range(0, images.shape[0], batch_size)]
+    return np.concatenate(chunks, axis=0)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg_mod
+from .backbone import embed
 from .data import (
     DatasetManifest,
     atomic_write_text,
@@ -23,7 +24,7 @@ from .data import (
 from .errors import ConfigurationError, OTFaceError
 from .evaluation import kfold_accuracy, make_pairs, pair_scores, tar_at_far
 from .mining import LabeledBatch, mine_hard_groups
-from .ot import SinkhornConfig, sinkhorn, sinkhorn_log_domain
+from .ot import SinkhornConfig, solve
 from .trainer import Trainer
 
 METRICS_COLUMNS = ("epoch", "margin_loss", "ot_loss", "total", "hard_groups", "lr")
@@ -108,14 +109,7 @@ def cmd_eval(args) -> int:
     images, labels = load_dataset(manifest, split=split)
 
     params, _, _, _ = load_checkpoint(Path(args.checkpoint))
-    bb = cfg_mod.backbone_config(cfg)
-    from .backbone import forward
-    from .tensor import Tensor
-    chunks = []
-    for i in range(0, images.shape[0], 256):
-        frozen = {k: Tensor(v.data) for k, v in params.items()}
-        chunks.append(forward(Tensor(images[i:i + 256]), frozen, bb).embedding.data)
-    embeddings = np.concatenate(chunks, axis=0)
+    embeddings = embed(images, params, cfg_mod.backbone_config(cfg))
 
     ev = cfg["eval"]
     pairs = make_pairs(labels, ev["pairs_per_fold"], ev["folds"], ev["pair_seed"])
@@ -157,10 +151,9 @@ def cmd_mine(args) -> int:
 
 def cmd_ot_solve(args) -> int:
     cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
-    cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                         marginal_tol=args.tol, log_domain=args.log_domain)
-    solver = sinkhorn_log_domain if args.log_domain else sinkhorn
-    plan = solver(cost, cfg)
+    plan = solve(cost, SinkhornConfig(epsilon=args.epsilon, max_iters=args.max_iters,
+                                      marginal_tol=args.tol,
+                                      log_domain=args.log_domain))
     print(f"value: {plan.value!r}")
     print(f"iterations: {plan.iterations_used}")
     print(f"marginal_violation: {plan.marginal_violation:.3e}")

@@ -32,9 +32,6 @@ DEFAULTS: dict = {
     },
     "sinkhorn": {
         "epsilon": 0.02,
-        "max_iters": 200,
-        "marginal_tol": 1e-6,
-        "log_domain": False,
         "unroll_iters": 50,
         "include_entropy": False,
     },
@@ -175,9 +172,8 @@ def margin_config(cfg: dict) -> MarginConfig:
 def sinkhorn_config(cfg: dict) -> SinkhornConfig:
     c = cfg["sinkhorn"]
     return SinkhornConfig(
-        epsilon=c["epsilon"], max_iters=c["max_iters"],
-        marginal_tol=c["marginal_tol"], log_domain=c["log_domain"],
-        unroll_iters=c["unroll_iters"], include_entropy=c["include_entropy"],
+        epsilon=c["epsilon"], unroll_iters=c["unroll_iters"],
+        include_entropy=c["include_entropy"],
     ).validate()
 
 

@@ -1,5 +1,4 @@
-"""Margin-softmax family, mining-based baseline wrappers, and the fused
-OT-triplet + margin objective."""
+"""Margin-softmax family and the fused OT-triplet + margin objective."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .mining import HardGroup, LabeledBatch, mine_hard_groups
 from .ot import SinkhornConfig, ot_distance
-from .tensor import Tensor, as_tensor, normalize_cols, normalize_rows
+from .tensor import Tensor, as_tensor, normalize_cols, normalize_rows, stack
 
 MARGIN_VARIANTS = ("plain", "additive_cosine", "additive_angular")
 
@@ -150,44 +149,14 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
     return per_sample_cross_entropy(logits, label).mean()
 
 
-def focal_reweight(per_sample_losses: Tensor, gamma: float) -> Tensor:
-    """Mean of (1 - p_t)^gamma * loss_t with p_t = exp(-loss_t).
-
-    Weights are treated as constants, so gamma only rescales each
-    sample's gradient.
-    """
-    if gamma < 0.0:
-        raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
-    losses = as_tensor(per_sample_losses)
-    if np.any(losses.data < 0.0):
-        raise ContractError("per-sample losses must be nonnegative")
-    weights = (1.0 - np.exp(-losses.data)) ** gamma
-    return (losses * weights).mean()
-
-
-def hard_example_filter(per_sample_losses: Tensor, keep_fraction: float) -> Tensor:
-    """Mean over the ceil(keep_fraction * N) largest losses; ties keep the
-    lower sample index."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigurationError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}"
-        )
-    losses = as_tensor(per_sample_losses)
-    n = losses.shape[0]
-    if n == 0:
-        raise ContractError("batch of per-sample losses must be nonempty")
-    keep = math.ceil(keep_fraction * n)
-    order = np.argsort(-losses.data, kind="stable")[:keep]
-    return losses.gather(order).mean()
-
-
 def ot_triplet_loss(groups: list[HardGroup], distributions,
                     cfg: SinkhornConfig, hinge_margin: float = 0.0) -> Tensor:
     """Sum over hard groups of [OT(a, p) - OT(a, n) + hinge_margin]_+.
 
-    `distributions` maps sample index -> n x d feature distribution
-    tensor. OT values are cached per unordered pair (OT is symmetric in
-    its arguments up to unrolling error).
+    `distributions` is an (N, n, d) tensor of per-sample feature
+    distributions or any mapping from sample index to an (n, d) one.
+    Each distinct unordered pair is solved once, as OT(lower index,
+    higher index), and all of them in a single batched `ot_distance`.
     """
     if hinge_margin < 0.0:
         raise ConfigurationError(
@@ -195,20 +164,21 @@ def ot_triplet_loss(groups: list[HardGroup], distributions,
         )
     if not groups:
         return Tensor(0.0)
-    cache: dict[tuple[int, int], Tensor] = {}
-
-    def pair_ot(i: int, j: int) -> Tensor:
-        key = (i, j) if i <= j else (j, i)
-        if key not in cache:
-            cache[key] = ot_distance(distributions[key[0]], distributions[key[1]], cfg)
-        return cache[key]
-
-    total = None
-    for g in groups:
-        term = (pair_ot(g.anchor, g.positive)
-                - pair_ot(g.anchor, g.negative) + hinge_margin).relu()
-        total = term if total is None else total + term
-    return total
+    triples = np.array([(g.anchor, g.positive, g.negative) for g in groups])
+    # rows 0..G-1 are the (anchor, positive) pairs, rows G..2G-1 the
+    # (anchor, negative) ones, each sorted to (lower, higher)
+    ends = np.concatenate([np.sort(triples[:, [0, 1]], axis=1),
+                           np.sort(triples[:, [0, 2]], axis=1)])
+    pairs, pair_of_end = np.unique(ends, axis=0, return_inverse=True)
+    used, slots = np.unique(pairs, return_inverse=True)
+    slots = slots.reshape(pairs.shape)
+    if isinstance(distributions, Tensor):
+        stacked = distributions.gather(used)
+    else:
+        stacked = stack([distributions[int(i)] for i in used])
+    ot = ot_distance(stacked.gather(slots[:, 0]), stacked.gather(slots[:, 1]), cfg)
+    ap, an = pair_of_end.reshape(2, len(groups))
+    return (ot.gather(ap) - ot.gather(an) + hinge_margin).relu().sum()
 
 
 def otface_loss(batch: LabeledBatch, embeddings: Tensor, distributions,

@@ -7,7 +7,7 @@ ties do not qualify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LabeledBatch:
 
     embeddings: np.ndarray  # N x d
     labels: np.ndarray      # N
-    sample_refs: list = field(default_factory=list)
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)

@@ -286,8 +286,11 @@ def exact_ot_uniform(cost: np.ndarray) -> float:
 
 
 def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
-    """Differentiable entropic OT between two n x d feature distributions.
+    """Differentiable entropic OT between n x d feature distributions.
 
+    Takes one pair of (n, d) distributions and returns a scalar, or two
+    (B, n, d) stacks and returns the B pairwise values; every pair gets
+    the same arithmetic, so a stack of B pairs is one graph, not B.
     Unrolls cfg.unroll_iters Sinkhorn updates on the tape, so the gradient
     flows into both inputs through the cost matrix and the iterates.
     Returns the transport cost <C, P>; with cfg.include_entropy also
@@ -296,24 +299,26 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     cfg.validate()
     m1 = as_tensor(m1)
     m2 = as_tensor(m2)
-    if m1.shape != m2.shape or len(m1.shape) != 2:
+    if m1.shape != m2.shape or len(m1.shape) not in (2, 3):
         raise ContractError(
-            f"distributions must share an n x d shape, got {m1.shape} and {m2.shape}"
+            f"distributions must share an n x d or B x n x d shape, "
+            f"got {m1.shape} and {m2.shape}"
         )
-    n = m1.shape[0]
+    n = m1.shape[-2]
     r1 = normalize_rows(m1)
     r2 = normalize_rows(m2)
-    cost = (1.0 - r1 @ r2.T).clip(0.0, 2.0)
+    cost = (1.0 - r1 @ r2.mT).clip(0.0, 2.0)
     kernel = (-cost * (1.0 / cfg.epsilon)).exp()
-    if np.any(kernel.data.sum(axis=1) == 0.0) or np.any(kernel.data.sum(axis=0) == 0.0):
+    if np.any(kernel.data.sum(axis=-1) == 0.0) or np.any(kernel.data.sum(axis=-2) == 0.0):
         raise NumericalRegimeError(
             f"Gibbs kernel underflows at epsilon={cfg.epsilon}; "
             "increase epsilon for the differentiable path"
         )
     r = 1.0 / n
-    u = Tensor(np.full((n, 1), 1.0))
+    kernel_t = kernel.mT
+    u = Tensor(np.ones(m1.shape[:-1] + (1,)))
     for _ in range(cfg.unroll_iters):
-        ktu = kernel.T @ u
+        ktu = kernel_t @ u
         if np.any(ktu.data == 0.0):
             raise NumericalRegimeError(
                 "unrolled Sinkhorn underflowed; increase epsilon"
@@ -325,11 +330,11 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
                 "unrolled Sinkhorn underflowed; increase epsilon"
             )
         u = r / kv
-    plan = u * kernel * v.T
-    value = (cost * plan).sum()
+    plan = u * kernel * v.mT
+    value = (cost * plan).sum(axis=(-2, -1))
     if cfg.include_entropy:
         # H(P) = -sum P (log P - 1); tiny floor keeps log finite at P ~ 0.
         safe_plan = plan + 1e-300
-        entropy = -(plan * (safe_plan.log() - 1.0)).sum()
+        entropy = -(plan * (safe_plan.log() - 1.0)).sum(axis=(-2, -1))
         value = value - cfg.epsilon * entropy
     return value

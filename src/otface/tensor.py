@@ -1,10 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is deliberately small and closed: elementwise arithmetic,
-matmul, conv2d, relu, exp/log/sqrt/cos, arccos (guarded), reductions,
-reshape/transpose, gather and clip. Every op records a backward closure;
-calling ``backward()`` on a scalar replays the graph in reverse
-topological order and accumulates gradients into the leaves.
+batched matmul, conv2d, relu, exp/log/sqrt/cos, arccos (guarded),
+reductions, reshape/transpose, gather, stack and clip. Every op records a
+backward closure that receives its output's gradient; calling
+``backward()`` on a scalar replays the graph in reverse topological order
+and accumulates gradients into the leaves. Closures capture input tensors
+and arrays, never their own output, so a tape is freed by reference
+counting as soon as its root is dropped.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -124,11 +127,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor._make(self.data + other.data, (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad, self.data.shape))
+                    self._accum(_unbroadcast(g, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad, other.data.shape))
+                    other._accum(_unbroadcast(g, other.data.shape))
             out._backward = _bw
         return out
 
@@ -137,7 +140,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor._make(-self.data, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(-out.grad)
+            out._backward = lambda g: self._accum(-g)
         return out
 
     def __sub__(self, other) -> "Tensor":
@@ -150,11 +153,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor._make(self.data * other.data, (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
+                    self._accum(_unbroadcast(g * other.data, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+                    other._accum(_unbroadcast(g * self.data, other.data.shape))
             out._backward = _bw
         return out
 
@@ -164,12 +167,12 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor._make(self.data / other.data, (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad / other.data, self.data.shape))
+                    self._accum(_unbroadcast(g / other.data, self.data.shape))
                 if other.requires_grad:
-                    g = -out.grad * self.data / (other.data * other.data)
-                    other._accum(_unbroadcast(g, other.data.shape))
+                    g_other = -g * self.data / (other.data * other.data)
+                    other._accum(_unbroadcast(g_other, other.data.shape))
             out._backward = _bw
         return out
 
@@ -180,28 +183,31 @@ class Tensor:
         exponent = float(exponent)
         out = Tensor._make(self.data ** exponent, (self,))
         if out.requires_grad:
-            def _bw():
-                self._accum(out.grad * exponent * self.data ** (exponent - 1.0))
+            def _bw(g):
+                self._accum(g * exponent * self.data ** (exponent - 1.0))
             out._backward = _bw
         return out
 
     # -- linear algebra ---------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product over the last two axes; any leading (batch)
+        axes must be equal on both operands."""
         other = as_tensor(other)
         a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
+                or a.shape[-1] != b.shape[-2]:
             raise ShapeMismatchError(
-                f"matmul requires 2-D operands with matching inner dims, "
-                f"got {a.shape} and {b.shape}"
+                f"matmul requires operands of equal rank >= 2 with equal batch "
+                f"axes and matching inner dims, got {a.shape} and {b.shape}"
             )
         out = Tensor._make(a @ b, (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad @ b.T)
+                    self._accum(g @ b.mT)
                 if other.requires_grad:
-                    other._accum(a.T @ out.grad)
+                    other._accum(a.mT @ g)
             out._backward = _bw
         return out
 
@@ -209,9 +215,16 @@ class Tensor:
     def T(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ShapeMismatchError(f"T expects a 2-D tensor, got {self.data.shape}")
-        out = Tensor._make(self.data.T, (self,))
+        return self.mT
+
+    @property
+    def mT(self) -> "Tensor":
+        """Transpose of the last two axes."""
+        if self.data.ndim < 2:
+            raise ShapeMismatchError(f"mT expects >= 2 axes, got {self.data.shape}")
+        out = Tensor._make(self.data.mT, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad.T)
+            out._backward = lambda g: self._accum(g.mT)
         return out
 
     # -- shape ops ----------------------------------------------------------
@@ -221,7 +234,7 @@ class Tensor:
             shape = tuple(shape[0])
         out = Tensor._make(self.data.reshape(shape), (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad.reshape(self.data.shape))
+            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
     def gather(self, indices, axis: int = 0) -> "Tensor":
@@ -229,11 +242,11 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.intp)
         out = Tensor._make(np.take(self.data, idx, axis=axis), (self,))
         if out.requires_grad:
-            def _bw():
-                g = np.zeros_like(self.data)
-                moved = np.moveaxis(g, axis, 0)
-                np.add.at(moved, idx, np.moveaxis(out.grad, axis, 0))
-                self._accum(g)
+            def _bw(g):
+                full = np.zeros_like(self.data)
+                moved = np.moveaxis(full, axis, 0)
+                np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+                self._accum(full)
             out._backward = _bw
         return out
 
@@ -242,8 +255,7 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
-            def _bw():
-                g = out.grad
+            def _bw(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(g, self.data.shape).copy())
@@ -259,9 +271,10 @@ class Tensor:
     # -- elementwise nonlinearities --------------------------------------------
 
     def exp(self) -> "Tensor":
-        out = Tensor._make(np.exp(self.data), (self,))
+        value = np.exp(self.data)
+        out = Tensor._make(value, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad * out.data)
+            out._backward = lambda g: self._accum(g * value)
         return out
 
     def log(self) -> "Tensor":
@@ -269,35 +282,36 @@ class Tensor:
             raise DegenerateInputError("log requires strictly positive entries")
         out = Tensor._make(np.log(self.data), (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad / self.data)
+            out._backward = lambda g: self._accum(g / self.data)
         return out
 
     def sqrt(self) -> "Tensor":
         if np.any(self.data < 0.0):
             raise DegenerateInputError("sqrt requires nonnegative entries")
-        out = Tensor._make(np.sqrt(self.data), (self,))
+        value = np.sqrt(self.data)
+        out = Tensor._make(value, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad * 0.5 / out.data)
+            out._backward = lambda g: self._accum(g * 0.5 / value)
         return out
 
     def relu(self) -> "Tensor":
         out = Tensor._make(np.maximum(self.data, 0.0), (self,))
         if out.requires_grad:
             mask = self.data > 0.0
-            out._backward = lambda: self._accum(out.grad * mask)
+            out._backward = lambda g: self._accum(g * mask)
         return out
 
     def cos(self) -> "Tensor":
         out = Tensor._make(np.cos(self.data), (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(-out.grad * np.sin(self.data))
+            out._backward = lambda g: self._accum(-g * np.sin(self.data))
         return out
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         out = Tensor._make(np.clip(self.data, lo, hi), (self,))
         if out.requires_grad:
             mask = (self.data >= lo) & (self.data <= hi)
-            out._backward = lambda: self._accum(out.grad * mask)
+            out._backward = lambda g: self._accum(g * mask)
         return out
 
     def arccos(self) -> "Tensor":
@@ -312,7 +326,7 @@ class Tensor:
         out = Tensor._make(np.arccos(clamped), (self,))
         if out.requires_grad:
             denom = np.sqrt(np.maximum(1.0 - clamped * clamped, _ARCCOS_GRAD_FLOOR))
-            out._backward = lambda: self._accum(-out.grad / denom)
+            out._backward = lambda g: self._accum(-g / denom)
         return out
 
 
@@ -320,6 +334,19 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Join equally shaped tensors along a new leading axis."""
+    tensors = [as_tensor(t) for t in tensors]
+    out = Tensor._make(np.stack([t.data for t in tensors]), tuple(tensors))
+    if out.requires_grad:
+        def _bw(g):
+            for t, g_t in zip(tensors, g):
+                if t.requires_grad:
+                    t._accum(g_t)
+        out._backward = _bw
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +429,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
     out = Tensor._make(out_data, (x, kernels))
     if out.requires_grad:
-        def _bw():
-            g = out.grad[None] if squeeze else out.grad
+        def _bw(g):
+            if squeeze:
+                g = g[None]
             g_flat = g.reshape(n, c_out, out_h * out_w)
             if kernels.requires_grad:
                 gw = np.einsum("nop,ncp->oc", g_flat, cols).reshape(kernels.data.shape)
@@ -431,13 +459,15 @@ def l2_normalize(v: Tensor) -> Tensor:
 
 
 def normalize_rows(m: Tensor) -> Tensor:
-    """L2-normalize each row of a 2-D tensor."""
+    """L2-normalize each row of a 2-D tensor, or of every matrix in a
+    stack (the vectors along the last axis)."""
     m = as_tensor(m)
-    norms = np.linalg.norm(m.data, axis=1)
-    bad = np.nonzero(norms <= EPS_NORM)[0]
+    norms = np.linalg.norm(m.data, axis=-1)
+    bad = np.argwhere(norms <= EPS_NORM)
     if bad.size:
-        raise DegenerateInputError(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}")
-    return m / (m * m).sum(axis=1, keepdims=True).sqrt()
+        where = ", ".join(str(int(i)) for i in bad[0])
+        raise DegenerateInputError(f"row {where} has norm {norms[tuple(bad[0])]:.3e}")
+    return m / (m * m).sum(axis=-1, keepdims=True).sqrt()
 
 
 def normalize_cols(m: Tensor) -> Tensor:

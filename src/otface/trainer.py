@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneConfig, forward, init_params, to_distribution
+from .backbone import BackboneConfig, embed, forward, init_params, to_distributions
 from .errors import ConfigurationError, ContractError
 from .losses import ClassifierWeights, LossBreakdown, MarginConfig, otface_loss
 from .mining import LabeledBatch
@@ -109,20 +109,6 @@ def _class_balanced_batches(labels: np.ndarray, p: int, k: int,
     return batches
 
 
-class _LazyDistributions:
-    """Feature distributions built on demand from the batch's tap maps,
-    so OT graphs are only constructed for samples in mined groups."""
-
-    def __init__(self, feature_maps: Tensor):
-        self._maps = feature_maps
-        self._cache: dict[int, Tensor] = {}
-
-    def __getitem__(self, i: int) -> Tensor:
-        if i not in self._cache:
-            self._cache[i] = to_distribution(self._maps.gather(int(i)))
-        return self._cache[i]
-
-
 class Trainer:
     """Owns parameters, classifier weights and optimizer state."""
 
@@ -170,7 +156,7 @@ class Trainer:
         out = forward(Tensor(self.images[idx]), self.state.params, self.backbone_cfg)
         batch = LabeledBatch(out.embedding.data, self.labels[idx])
         return otface_loss(
-            batch, out.embedding, _LazyDistributions(out.feature_maps),
+            batch, out.embedding, to_distributions(out.feature_maps),
             self.classifier, self.margin_cfg, self.sinkhorn_cfg,
             hinge_margin=self.hinge_margin, lambda_ot=self.lambda_ot,
             cap_per_anchor=self.cap_per_anchor, mining_enabled=self.mining_enabled,
@@ -179,7 +165,7 @@ class Trainer:
     def train_epoch(self) -> dict:
         """One pass over the sampler's batches; returns the epoch metrics."""
         lr = lr_at(self.state.epoch, self.train_cfg)
-        margin_losses, ot_losses, totals = [], [], []
+        margin_losses, ot_losses = [], []
         hard_groups = 0
         for batch_no, idx in enumerate(self._batches()):
             breakdown = self._loss_for_batch(idx)
@@ -201,9 +187,7 @@ class Trainer:
             sgd_step(self.state, grads, lr, self.train_cfg)
             margin_losses.append(breakdown.margin_loss.item())
             ot_losses.append(breakdown.ot_loss.item())
-            totals.append(breakdown.total.item())
             hard_groups += breakdown.num_hard_groups
-        del totals
         mean_margin = float(np.mean(margin_losses))
         mean_ot = float(np.mean(ot_losses))
         metrics = {
@@ -224,9 +208,4 @@ class Trainer:
 
     def embed(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Embeddings for evaluation; no tape is built."""
-        frozen = {k: Tensor(v.data) for k, v in self.state.params.items()}
-        chunks = []
-        for i in range(0, images.shape[0], batch_size):
-            out = forward(Tensor(images[i:i + batch_size]), frozen, self.backbone_cfg)
-            chunks.append(out.embedding.data)
-        return np.concatenate(chunks, axis=0)
+        return embed(images, self.state.params, self.backbone_cfg, batch_size)

@@ -171,15 +171,22 @@ def test_config_set_overrides_are_typed():
     cfg = load_config(None, [
         "trainer.epochs=5",
         "margin.scale=12.5",
-        "sinkhorn.log_domain=true",
+        "sinkhorn.include_entropy=true",
         "trainer.lr_milestones=[2,4]",
         "mining.cap_per_anchor=3",
     ])
     assert cfg["trainer"]["epochs"] == 5
     assert cfg["margin"]["scale"] == 12.5
-    assert cfg["sinkhorn"]["log_domain"] is True
+    assert cfg["sinkhorn"]["include_entropy"] is True
     assert cfg["trainer"]["lr_milestones"] == [2, 4]
     assert cfg["mining"]["cap_per_anchor"] == 3
+
+
+def test_solver_keys_training_never_reads_are_rejected():
+    for item in ("sinkhorn.max_iters=1", "sinkhorn.marginal_tol=1e-3",
+                 "sinkhorn.log_domain=true"):
+        with pytest.raises(ConfigurationError, match=item.split("=")[0]):
+            load_config(None, [item])
 
 
 def test_env_seed_override(monkeypatch):

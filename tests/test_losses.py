@@ -12,13 +12,13 @@ from otface import (
     SinkhornConfig,
     Tensor,
     cross_entropy,
-    focal_reweight,
-    hard_example_filter,
     margin_logits,
+    ot_distance,
     ot_triplet_loss,
     otface_loss,
     per_sample_cross_entropy,
 )
+from otface import losses as losses_mod
 from otface.mining import HardGroup
 
 from conftest import rel_err
@@ -118,45 +118,6 @@ def test_cross_entropy_matches_naive_softmax():
     assert np.max(np.abs(got - naive)) < 1e-12
 
 
-def test_focal_reweight_reference_points():
-    losses = Tensor([0.3, 1.2, 0.0])
-    assert focal_reweight(losses, 0.0).item() == pytest.approx(
-        np.mean([0.3, 1.2, 0.0])
-    )
-    # single sample at loss ln 2: weight (1 - 1/2)^1 = 0.5
-    assert focal_reweight(Tensor([math.log(2.0)]), 1.0).item() == pytest.approx(
-        0.5 * math.log(2.0)
-    )
-    # a zero-loss sample contributes nothing for any gamma
-    for gamma in (0.5, 1.0, 2.0):
-        with_zero = focal_reweight(Tensor([0.7, 0.0]), gamma).item()
-        alone = focal_reweight(Tensor([0.7]), gamma).item()
-        assert with_zero == pytest.approx(alone / 2.0)
-    with pytest.raises(ConfigurationError):
-        focal_reweight(losses, -1.0)
-
-
-def test_focal_never_exceeds_plain_mean():
-    rng = np.random.default_rng(6)
-    losses = rng.uniform(0.0, 3.0, size=10)
-    for gamma in (0.0, 0.5, 1.0, 2.0):
-        assert focal_reweight(Tensor(losses), gamma).item() <= np.mean(losses) + 1e-12
-
-
-def test_hard_example_filter():
-    losses = Tensor([4.0, 3.0, 2.0, 1.0])
-    assert hard_example_filter(losses, 0.5).item() == pytest.approx(3.5)
-    assert hard_example_filter(losses, 1.0).item() == pytest.approx(2.5)
-    # ceil(0.3 * 4) = 2 kept
-    assert hard_example_filter(losses, 0.3).item() == pytest.approx(3.5)
-    rng = np.random.default_rng(7)
-    random_losses = rng.uniform(0.0, 2.0, size=9)
-    assert hard_example_filter(Tensor(random_losses), 0.4).item() >= \
-        np.mean(random_losses)
-    with pytest.raises(ConfigurationError):
-        hard_example_filter(losses, 0.0)
-
-
 def test_ot_triplet_empty_groups_is_zero():
     assert ot_triplet_loss([], {}, SinkhornConfig()).item() == 0.0
 
@@ -197,6 +158,44 @@ def test_ot_triplet_is_nonnegative():
 def test_ot_triplet_rejects_negative_hinge():
     with pytest.raises(ConfigurationError):
         ot_triplet_loss([HardGroup(0, 1, 2)], {}, SinkhornConfig(), hinge_margin=-0.1)
+
+
+def test_ot_triplet_stack_and_mapping_agree_in_one_ot_call(monkeypatch):
+    calls = []
+
+    def counting_ot_distance(*args):
+        calls.append(args[0].shape)
+        return ot_distance(*args)
+
+    monkeypatch.setattr(losses_mod, "ot_distance", counting_ot_distance)
+    rng = np.random.default_rng(13)
+    maps = rng.normal(size=(6, 4, 3))
+    # (0, 1) and (0, 2) recur across groups, (2, 0) is (0, 2) reversed
+    groups = [HardGroup(0, 1, 2), HardGroup(0, 1, 3), HardGroup(2, 5, 0),
+              HardGroup(1, 0, 4), HardGroup(0, 1, 2)]
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=20)
+
+    stacked = Tensor(maps, requires_grad=True)
+    from_stack = ot_triplet_loss(groups, stacked, cfg, hinge_margin=0.3)
+    from_stack.backward()
+    rows = {i: Tensor(maps[i], requires_grad=True) for i in range(6)}
+    from_dict = ot_triplet_loss(groups, rows, cfg, hinge_margin=0.3)
+    from_dict.backward()
+
+    # distinct unordered pairs: (0,1) (0,2) (0,3) (1,4) (2,5)
+    assert calls == [(5, 4, 3), (5, 4, 3)]
+    assert from_stack.item() > 0.0
+    assert from_stack.item() == pytest.approx(from_dict.item(), abs=1e-12)
+    for i in range(6):
+        assert np.max(np.abs(stacked.grad[i] - rows[i].grad)) < 1e-12
+
+    # the same value as summing the per-group hinge terms one by one
+    def ot(i, j):
+        lo, hi = min(i, j), max(i, j)
+        return ot_distance(Tensor(maps[lo]), Tensor(maps[hi]), cfg).item()
+    expected = sum(max(ot(g.anchor, g.positive) - ot(g.anchor, g.negative) + 0.3,
+                       0.0) for g in groups)
+    assert from_stack.item() == pytest.approx(expected, abs=1e-12)
 
 
 def _toy_batch(rng, labels):

@@ -17,7 +17,7 @@ from otface import (
 )
 from otface.ot import solve
 
-from conftest import numeric_grad, rel_err
+from conftest import check_grad, numeric_grad, rel_err
 
 
 def two_atom_diag(epsilon):
@@ -231,6 +231,36 @@ def test_ot_distance_entropy_flag():
     entropy = -np.sum(plan * (np.log(plan + 1e-300) - 1.0))
     assert plain == pytest.approx(np.sum(cost * plan), abs=1e-12)
     assert with_ent == pytest.approx(plain - 0.3 * entropy, abs=1e-12)
+
+
+def test_batched_ot_distance_equals_single_pair_calls():
+    rng = np.random.default_rng(16)
+    m1, m2 = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3))
+    for include_entropy in (False, True):
+        cfg = SinkhornConfig(epsilon=0.1, unroll_iters=20,
+                             include_entropy=include_entropy)
+        batched = ot_distance(Tensor(m1), Tensor(m2), cfg)
+        assert batched.shape == (5,)
+        singles = [ot_distance(Tensor(a), Tensor(b), cfg).item()
+                   for a, b in zip(m1, m2)]
+        assert np.max(np.abs(batched.data - singles)) < 1e-12
+
+
+def test_batched_ot_distance_gradient_matches_finite_differences():
+    rng = np.random.default_rng(17)
+    m2 = Tensor(rng.normal(size=(3, 3, 2)))
+    weights = Tensor(rng.uniform(0.5, 1.5, size=3))
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=30)
+    check_grad(lambda t: (ot_distance(t, m2, cfg) * weights).sum(),
+               rng.normal(size=(3, 3, 2)), tol=1e-3)
+
+
+def test_ot_distance_rejects_mismatched_stacks():
+    cfg = SinkhornConfig(epsilon=0.1)
+    with pytest.raises(ContractError):
+        ot_distance(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((3, 3, 2))), cfg)
+    with pytest.raises(ContractError):
+        ot_distance(Tensor(np.ones((1, 2, 3, 2))), Tensor(np.ones((1, 2, 3, 2))), cfg)
 
 
 def test_oracle_sandwich_monotone_in_epsilon():

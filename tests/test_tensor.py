@@ -14,6 +14,7 @@ from otface import (
     l2_normalize,
     normalize_cols,
     normalize_rows,
+    stack,
 )
 
 from conftest import check_grad, numeric_grad, rel_err
@@ -119,6 +120,7 @@ _OP_CASES = {
     "sum_axis": lambda t, c: (t.sum(axis=1) * t.sum(axis=0)).sum(),
     "matmul": lambda t, c: (t @ c).sum(),
     "broadcast_add": lambda t, c: (t + t.sum(axis=0, keepdims=True)).sum(),
+    "batched_matmul": lambda t, c: (stack([t, c]) @ stack([c, t * t]).mT).sum(),
 }
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,18 @@ from otface import (
     BackboneConfig,
     ConfigurationError,
     ContractError,
+    LabeledBatch,
     MarginConfig,
     SinkhornConfig,
     Tensor,
     TrainConfig,
     Trainer,
     TrainState,
+    forward,
     lr_at,
+    otface_loss,
     sgd_step,
+    to_distributions,
 )
 from otface.data import generate_synthetic, load_dataset
 
@@ -170,3 +176,33 @@ def test_embed_shape_and_norm(tmp_path):
 def test_empty_dataset_rejected():
     with pytest.raises(ContractError):
         _trainer(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=int))
+
+
+def test_training_step_tape_is_freed_by_reference_counting(tmp_path):
+    images, labels = _dataset(tmp_path, 0.7, "d")
+    trainer = _trainer(images, labels)
+    params = trainer.state.params
+
+    def step():
+        out = forward(Tensor(images), params, trainer.backbone_cfg)
+        loss = otface_loss(
+            LabeledBatch(out.embedding.data, labels), out.embedding,
+            to_distributions(out.feature_maps), trainer.classifier,
+            trainer.margin_cfg, trainer.sinkhorn_cfg, hinge_margin=0.1)
+        assert loss.num_hard_groups > 0
+        loss.total.backward()
+        sgd_step(trainer.state, {k: p.grad for k, p in params.items()}, 0.01,
+                 trainer.train_cfg)
+        for p in params.values():
+            p.zero_grad()
+        return loss
+
+    del step().total  # warm-up: first calls may fill module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        loss = step()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
