@@ -221,9 +221,13 @@ def save_checkpoint(path: Path, params: dict[str, Tensor],
 def load_checkpoint(path: Path):
     """Returns (params, momentum_buffers, epoch, step)."""
     with np.load(Path(path)) as blob:
+        if "__meta__" not in blob.files:
+            raise ConfigurationError(f"{path}: not an otface checkpoint (no __meta__)")
         meta = blob["__meta__"]
         if int(meta[0]) != CHECKPOINT_VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {meta[0]}")
+            raise ConfigurationError(
+                f"{path}: unsupported checkpoint version {meta[0]}"
+            )
         params: dict[str, Tensor] = {}
         momentum: dict[str, np.ndarray] = {}
         for key in blob.files:
@@ -231,4 +235,6 @@ def load_checkpoint(path: Path):
                 params[key[len("param/"):]] = Tensor(blob[key], requires_grad=True)
             elif key.startswith("momentum/"):
                 momentum[key[len("momentum/"):]] = blob[key].copy()
+        if not params:
+            raise ConfigurationError(f"{path}: checkpoint holds no parameters")
         return params, momentum, int(meta[1]), int(meta[2])

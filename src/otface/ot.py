@@ -54,7 +54,12 @@ class SinkhornConfig:
 
 @dataclass
 class TransportPlan:
-    """Coupling matrix with solver diagnostics."""
+    """Coupling matrix with solver diagnostics.
+
+    `iterations_used` counts all the work of a solve: plain scaling
+    iterations, Newton steps, and, when the epsilon ladder ran, its
+    iterations and the Newton steps that followed it.
+    """
 
     plan: np.ndarray
     value: float
@@ -144,8 +149,17 @@ def sinkhorn(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis)
-    return m + np.log(np.exp(x - np.expand_dims(m, axis)).sum(axis=axis))
+    m = x.max(axis=axis, keepdims=True)
+    return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+
+
+def _violation(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray
+               ) -> float:
+    """Largest row or column marginal error of the plan the duals give."""
+    plan = np.exp(log_u + log_kernel + log_v)
+    n = plan.shape[0]
+    return float(max(np.max(np.abs(plan.sum(axis=1) - 1.0 / n)),
+                     np.max(np.abs(plan.sum(axis=0) - 1.0 / n))))
 
 
 def _newton_polish(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray,
@@ -155,13 +169,14 @@ def _newton_polish(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray,
     The alternating updates stall when competing transport patterns are
     nearly tied relative to epsilon; Newton converges quadratically to
     the same unique fixed point. The Jacobian's constant-shift nullspace
-    is handled by the minimum-norm least-squares solve.
+    is handled by the minimum-norm least-squares solve. The duals are an
+    (n, 1) column `log_u` and a (1, n) row `log_v`.
     """
     n = log_kernel.shape[0]
     r = 1.0 / n
     steps = 0
     for steps in range(1, max_steps + 1):
-        plan = np.exp(log_u[:, None] + log_kernel + log_v[None, :])
+        plan = np.exp(log_u + log_kernel + log_v)
         rows = plan.sum(axis=1)
         cols = plan.sum(axis=0)
         residual = np.concatenate([rows - r, cols - r])
@@ -171,8 +186,8 @@ def _newton_polish(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray,
         delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
         # damp wild steps far from the fixed point
         scale = min(1.0, 1.0 / np.max(np.abs(delta)))
-        log_u = log_u + scale * delta[:n]
-        log_v = log_v + scale * delta[n:]
+        log_u = log_u + scale * delta[:n, None]
+        log_v = log_v + scale * delta[None, n:]
     return log_u, log_v, steps
 
 
@@ -184,11 +199,12 @@ def _anneal(cost: np.ndarray, eps_target: float, iters_per_level: int
     support (mass stuck on a too-sparse set of entries); warm-starting
     the dual potentials from a smoother problem avoids that. Potentials
     f = eps*log_u live in cost units, so they carry across levels.
+    Returns the duals as an (n, 1) column and a (1, n) row.
     """
     n = cost.shape[0]
     log_r = -np.log(n)
-    f = np.zeros(n)
-    g = np.zeros(n)
+    f = np.zeros((n, 1))
+    g = np.zeros((1, n))
     levels = []
     eps = max(eps_target, 1.0)
     while eps > eps_target:
@@ -200,58 +216,74 @@ def _anneal(cost: np.ndarray, eps_target: float, iters_per_level: int
         log_kernel = -cost / eps
         log_u, log_v = f / eps, g / eps
         for _ in range(iters_per_level):
-            log_v = log_r - _lse(log_kernel + log_u[:, None], axis=0)
-            log_u = log_r - _lse(log_kernel + log_v[None, :], axis=1)
+            log_v = log_r - _lse(log_kernel + log_u, axis=0)
+            log_u = log_r - _lse(log_kernel + log_v, axis=1)
         total += iters_per_level
         f, g = eps * log_u, eps * log_v
     return log_u, log_v, total
 
 
+# The plain updates have stalled once the marginal violation has not
+# halved over this many iterations; Newton then finishes from the current
+# duals. Windows of 10 to 100 iterations all converge every criterion-1
+# problem and n = 16 tap cost; a longer window spends more plain
+# iterations before the hand-off.
+STALL_WINDOW = 20
+
+
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     """Log-space Sinkhorn; same contract as `sinkhorn` but underflow-proof.
 
-    When the plain alternating updates stall before reaching the marginal
-    tolerance, the solve is retried on a decreasing epsilon ladder and
-    finished with Newton refinement of the dual potentials; the fixed
-    point is the same.
+    Plain alternating updates run until the marginals converge or the
+    violation stops contracting (not halved over `STALL_WINDOW`
+    iterations). A stalled solve goes straight to Newton refinement of
+    the current dual potentials. Only when Newton misses the marginal
+    tolerance, as on a support locked at very small epsilon, is the
+    solve rerun on a decreasing epsilon ladder and finished with Newton
+    again; the fixed point is the same.
     """
     cfg.validate()
     cost = _check_cost(cost)
     n = cost.shape[0]
     log_r = -np.log(n)
     log_kernel = -cost / cfg.epsilon
-    log_u = np.zeros(n)
-    log_v = np.zeros(n)
+    log_u = np.zeros((n, 1))
+    log_v = np.zeros((1, n))
+    # Column log-sum-exps for the next v-update; after a u-update they
+    # also give the plan's column sums, exp(log_v + lse_cols), while its
+    # rows are exact.
+    lse_cols = _lse(log_kernel + log_u, axis=0)
+    history: list[float] = []
     violation = np.inf
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        log_v = log_r - _lse(log_kernel + log_u[:, None], axis=0)
-        log_u = log_r - _lse(log_kernel + log_v[None, :], axis=1)
-        col_sums = np.exp(_lse(log_kernel + log_u[:, None] + log_v[None, :], axis=0))
-        violation = float(np.max(np.abs(col_sums - 1.0 / n)))
+        log_v = log_r - lse_cols
+        log_u = log_r - _lse(log_kernel + log_v, axis=1)
+        lse_cols = _lse(log_kernel + log_u, axis=0)
+        violation = float(np.max(np.abs(np.exp(log_v + lse_cols) - 1.0 / n)))
         if violation <= cfg.marginal_tol:
             break
+        history.append(violation)
+        if len(history) > STALL_WINDOW and violation > 0.5 * history[-1 - STALL_WINDOW]:
+            break
+    if violation > cfg.marginal_tol:
+        log_u, log_v, steps = _newton_polish(
+            log_kernel, log_u, log_v, cfg.marginal_tol
+        )
+        iters += steps
+        violation = _violation(log_kernel, log_u, log_v)
     if violation > cfg.marginal_tol:
         log_u, log_v, extra = _anneal(
             cost, cfg.epsilon, max(50, cfg.max_iters // 4)
         )
-        iters += extra
-        plan_now = np.exp(log_u[:, None] + log_kernel + log_v[None, :])
-        violation = float(np.max(np.abs(
-            np.concatenate([plan_now.sum(axis=1), plan_now.sum(axis=0)]) - 1.0 / n
-        )))
-    if violation > cfg.marginal_tol:
-        log_u, log_v, newton_steps = _newton_polish(
+        log_u, log_v, steps = _newton_polish(
             log_kernel, log_u, log_v, cfg.marginal_tol
         )
-        iters += newton_steps
-        plan_now = np.exp(log_u[:, None] + log_kernel + log_v[None, :])
-        violation = float(np.max(np.abs(
-            np.concatenate([plan_now.sum(axis=1), plan_now.sum(axis=0)]) - 1.0 / n
-        )))
-    plan = np.exp(log_u[:, None] + log_kernel + log_v[None, :])
+        iters += extra + steps
+        violation = _violation(log_kernel, log_u, log_v)
+    plan = np.exp(log_u + log_kernel + log_v)
     with np.errstate(over="ignore"):  # diagnostic only; duals can be huge
-        scaling_u, scaling_v = np.exp(log_u), np.exp(log_v)
+        scaling_u, scaling_v = np.exp(log_u.ravel()), np.exp(log_v.ravel())
     return TransportPlan(
         plan=plan,
         value=float((cost * plan).sum()),

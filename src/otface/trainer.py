@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import BackboneConfig, embed, forward, init_params, to_distributions
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, NumericalRegimeError
 from .losses import ClassifierWeights, LossBreakdown, MarginConfig, otface_loss
 from .mining import LabeledBatch
 from .ot import SinkhornConfig
@@ -173,7 +173,7 @@ class Trainer:
                                 ("ot", breakdown.ot_loss.item()),
                                 ("total", breakdown.total.item())):
                 if not math.isfinite(value):
-                    raise RuntimeError(
+                    raise NumericalRegimeError(
                         f"non-finite {term} loss ({value}) in epoch "
                         f"{self.state.epoch}, batch {batch_no}"
                     )

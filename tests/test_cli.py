@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import otface.trainer
 from otface.cli import main
 
 
@@ -95,6 +96,15 @@ def test_eval_reports_accuracy_in_unit_range(tmp_path, capsys):
     assert fars == sorted(fars)
 
 
+def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, weights=np.ones(3))
+    assert run_cli("eval", "--checkpoint", str(foreign), "--manifest", str(data),
+                   "--out", str(tmp_path / "report")) == 2
+    assert "foreign.npz" in capsys.readouterr().err
+
+
 def test_ot_solve_two_atom_case(tmp_path, capsys):
     cost = tmp_path / "cost.csv"
     cost.write_text("0,1\n1,0\n")
@@ -140,3 +150,27 @@ def test_checkpoint_every_writes_intermediate_checkpoints(tmp_path):
                     extra=["--set", "trainer.checkpoint_every=1"])
     assert (out / "checkpoint_epoch1.npz").exists()
     assert (out / "checkpoint_epoch2.npz").exists()
+
+
+def test_non_finite_loss_exits_with_error_naming_epoch_and_batch(
+        tmp_path, capsys, monkeypatch):
+    real_loss = otface.trainer.otface_loss
+    calls = []
+
+    def inf_on_second_batch(*args, **kwargs):
+        breakdown = real_loss(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            with np.errstate(over="ignore"):  # Tensor() itself rejects inf
+                breakdown.margin_loss = breakdown.margin_loss * 1e308 * 1e308
+        return breakdown
+
+    monkeypatch.setattr(otface.trainer, "otface_loss", inf_on_second_batch)
+    data = gen_dataset(tmp_path, per_class=10)
+    code = run_cli("train", "--out", str(tmp_path / "run"),
+                   "--set", f"data.manifest={data}",
+                   "--set", "trainer.epochs=1",
+                   "--set", "trainer.lr_milestones=[]", *TINY_TRAIN_ARGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite margin loss (inf) in epoch 0, batch 1")

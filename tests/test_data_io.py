@@ -141,6 +141,17 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_foreign_npz_naming_the_path(tmp_path):
+    no_meta = tmp_path / "no_meta.npz"
+    np.savez(no_meta, weights=np.ones(3))
+    with pytest.raises(ConfigurationError, match="no_meta.npz"):
+        load_checkpoint(no_meta)
+    no_params = tmp_path / "no_params.npz"
+    np.savez(no_params, __meta__=np.array([1, 0, 0]), other=np.ones(3))
+    with pytest.raises(ConfigurationError, match="no_params.npz.*no parameters"):
+        load_checkpoint(no_params)
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(tmp_path / "out.txt", "hello")
     assert (tmp_path / "out.txt").read_text() == "hello"
