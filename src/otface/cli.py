@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg_mod
-from .backbone import embed
+from .backbone import embed, init_params
 from .data import (
     DatasetManifest,
     atomic_write_text,
@@ -97,6 +97,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_params(path: Path, params: dict, bb) -> None:
+    """Raise unless `params` has exactly the names and shapes that
+    `init_params` builds for the backbone config `bb`, besides the margin
+    head (`classifier.weight`) that training saves and eval does not use."""
+    expected = {k: v.shape for k, v in init_params(bb, np.random.default_rng(0)).items()}
+    got = {k: v.shape for k, v in params.items() if k != "classifier.weight"}
+    for name in list(expected) + sorted(got.keys() - expected.keys()):
+        if got.get(name) != expected.get(name):
+            raise ConfigurationError(
+                f"{path}: parameter {name} does not match the backbone config: "
+                f"checkpoint {got.get(name, 'missing')}, "
+                f"config {expected.get(name, 'unexpected')}"
+            )
+
+
 def cmd_eval(args) -> int:
     cfg = cfg_mod.load_config(args.config, args.set)
     manifest_dir = args.manifest or cfg["data"]["manifest"]
@@ -109,7 +124,9 @@ def cmd_eval(args) -> int:
     images, labels = load_dataset(manifest, split=split)
 
     params, _, _, _ = load_checkpoint(Path(args.checkpoint))
-    embeddings = embed(images, params, cfg_mod.backbone_config(cfg))
+    bb = cfg_mod.backbone_config(cfg)
+    _check_params(Path(args.checkpoint), params, bb)
+    embeddings = embed(images, params, bb)
 
     ev = cfg["eval"]
     pairs = make_pairs(labels, ev["pairs_per_fold"], ev["folds"], ev["pair_seed"])

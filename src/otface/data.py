@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,7 +221,17 @@ def save_checkpoint(path: Path, params: dict[str, Tensor],
 
 def load_checkpoint(path: Path):
     """Returns (params, momentum_buffers, epoch, step)."""
-    with np.load(Path(path)) as blob:
+    not_npz = f"{path}: not an otface checkpoint (not an .npz archive)"
+    try:
+        blob = np.load(Path(path))
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read checkpoint ({exc.strerror or exc})") from exc
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(not_npz) from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ConfigurationError(not_npz)
+    with blob:
         if "__meta__" not in blob.files:
             raise ConfigurationError(f"{path}: not an otface checkpoint (no __meta__)")
         meta = blob["__meta__"]

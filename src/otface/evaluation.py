@@ -89,9 +89,12 @@ def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
     return np.concatenate(([uniq[0] - 1.0], mids, [uniq[-1] + 1.0]))
 
 
-def _accuracy(scores: np.ndarray, same: np.ndarray, threshold: float) -> float:
-    pred = scores >= threshold
-    return float(np.mean(pred == same))
+def _count_at_least(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Number of `scores` >= each threshold: one sort, then one binary
+    search per threshold. Like `>=`, a NaN on either side never matches."""
+    ordered = np.sort(scores)
+    ordered = ordered[:np.searchsorted(ordered, np.nan)]
+    return ordered.shape[0] - np.searchsorted(ordered, thresholds, "left")
 
 
 def kfold_accuracy(pairs: PairSet, scores: np.ndarray, k: int = 10) -> VerificationReport:
@@ -112,13 +115,15 @@ def kfold_accuracy(pairs: PairSet, scores: np.ndarray, k: int = 10) -> Verificat
     for f in folds:
         held = pairs.fold == f
         train_s, train_y = scores[~held], pairs.same[~held]
-        best_t, best_a = None, -1.0
-        for t in _threshold_candidates(train_s):
-            a = _accuracy(train_s, train_y, t)
-            if a > best_a:
-                best_a, best_t = a, t
-        chosen.append(float(best_t))
-        fold_acc.append(_accuracy(scores[held], pairs.same[held], best_t))
+        cands = _threshold_candidates(train_s)
+        # genuine pairs accepted plus impostor pairs rejected; argmax takes
+        # the first, i.e. smallest, of tied thresholds
+        correct = (_count_at_least(train_s[train_y], cands)
+                   + np.count_nonzero(~train_y)
+                   - _count_at_least(train_s[~train_y], cands))
+        best_t = float(cands[np.argmax(correct)])
+        chosen.append(best_t)
+        fold_acc.append(float(np.mean((scores[held] >= best_t) == pairs.same[held])))
     roc = roc_points(scores, pairs.same)
     return VerificationReport(
         fold_accuracies=fold_acc,
@@ -129,20 +134,21 @@ def kfold_accuracy(pairs: PairSet, scores: np.ndarray, k: int = 10) -> Verificat
     )
 
 
+def _rates(scores: np.ndarray, same: np.ndarray, thresholds: np.ndarray):
+    """(FAR, TAR) arrays at each threshold, as `count / size`."""
+    far = _count_at_least(scores[~same], thresholds) / np.count_nonzero(~same)
+    tar = _count_at_least(scores[same], thresholds) / np.count_nonzero(same)
+    return far, tar
+
+
 def roc_points(scores: np.ndarray, same: np.ndarray) -> list[tuple[float, float]]:
     """(FAR, TAR) sweep over all observed score thresholds, far ascending."""
     scores = np.asarray(scores, dtype=np.float64)
     same = np.asarray(same, dtype=bool)
-    genuine = scores[same]
-    impostor = scores[~same]
-    if impostor.size == 0 or genuine.size == 0:
+    if same.all() or not same.any():
         raise ContractError("ROC needs both genuine and impostor pairs")
-    points = []
-    for t in np.unique(scores)[::-1]:
-        far = float(np.mean(impostor >= t))
-        tar = float(np.mean(genuine >= t))
-        points.append((far, tar))
-    return points
+    far, tar = _rates(scores, same, np.unique(scores)[::-1])
+    return list(zip(far.tolist(), tar.tolist()))
 
 
 def tar_at_far(scores: np.ndarray, same: np.ndarray,
@@ -152,22 +158,21 @@ def tar_at_far(scores: np.ndarray, same: np.ndarray,
     reported as None (unattainable) rather than extrapolated."""
     scores = np.asarray(scores, dtype=np.float64)
     same = np.asarray(same, dtype=bool)
-    genuine = scores[same]
-    impostor = scores[~same]
-    if impostor.size == 0:
+    num_impostors = int(np.count_nonzero(~same))
+    if num_impostors == 0:
         raise ContractError("TAR@FAR needs at least one impostor pair")
+    if num_impostors == same.shape[0]:
+        raise ContractError("TAR@FAR needs at least one genuine pair")
+    far, tar = _rates(scores, same, np.unique(scores))
     out: dict[float, float | None] = {}
-    candidates = np.unique(scores)
     for target in far_targets:
-        if target < 1.0 / impostor.size:
+        # FAR never rises with the threshold, so the first feasible
+        # candidate is the smallest
+        feasible = np.flatnonzero(far <= target)
+        if target < 1.0 / num_impostors or not feasible.size:
             out[target] = None
-            continue
-        feasible = [t for t in candidates if np.mean(impostor >= t) <= target]
-        if not feasible:
-            out[target] = None
-            continue
-        threshold = min(feasible)
-        out[target] = float(np.mean(genuine >= threshold))
+        else:
+            out[target] = float(tar[feasible[0]])
     return out
 
 

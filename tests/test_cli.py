@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import otface.config
 import otface.trainer
+from otface.backbone import BackboneConfig, embed, init_params
 from otface.cli import main
+from otface.data import DatasetManifest, load_dataset, save_checkpoint
+from otface.evaluation import kfold_accuracy, make_pairs, pair_scores
 
 
 def run_cli(*argv):
@@ -103,6 +107,72 @@ def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
     assert run_cli("eval", "--checkpoint", str(foreign), "--manifest", str(data),
                    "--out", str(tmp_path / "report")) == 2
     assert "foreign.npz" in capsys.readouterr().err
+
+
+TINY_EVAL_ARGS = [
+    "--set", "backbone.input_size=8",
+    "--set", "backbone.stage_channels=[4,6]",
+    "--set", "backbone.embedding_dim=5",
+    "--set", "backbone.tap_stage=1",
+    "--set", "eval.folds=3", "--set", "eval.pairs_per_fold=4",
+]
+
+
+def tiny_checkpoint(tmp_path, stage_channels=(4, 6)):
+    """A checkpoint with the parameters `TINY_EVAL_ARGS` describe."""
+    bb = BackboneConfig(input_size=8, stage_channels=stage_channels,
+                        embedding_dim=5, tap_stage=1)
+    params = init_params(bb, np.random.default_rng(3))
+    path = tmp_path / "tiny.npz"
+    save_checkpoint(path, params)
+    return path, params, bb
+
+
+@pytest.mark.parametrize("content", [None, b"", b"not a checkpoint\n"],
+                         ids=["missing", "empty", "text"])
+def test_eval_rejects_unreadable_checkpoint_naming_the_path(tmp_path, capsys, content):
+    data = gen_dataset(tmp_path)
+    path = tmp_path / "unreadable.npz"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli("eval", "--checkpoint", str(path), "--manifest", str(data),
+                   "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("stages, override, key, detail", [
+    ((4, 6), ["--set", "backbone.stage_channels=[4,6,6]"], "stage2.weight",
+     "checkpoint missing"),
+    ((4, 6), ["--set", "backbone.embedding_dim=7"], "proj.weight",
+     "checkpoint (6, 5), config (6, 7)"),
+    ((4, 6, 6), [], "stage2.bias", "checkpoint (6,), config unexpected"),
+], ids=["missing_stage", "wrong_shape", "unexpected_stage"])
+def test_eval_rejects_checkpoint_that_does_not_match_the_backbone(
+        tmp_path, capsys, stages, override, key, detail):
+    data = gen_dataset(tmp_path)
+    path, _, _ = tiny_checkpoint(tmp_path, stages)
+    assert run_cli("eval", "--checkpoint", str(path), "--manifest", str(data),
+                   "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS,
+                   *override) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert key in err and detail in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_eval_with_matching_checkpoint_reports_its_embeddings(tmp_path):
+    data = gen_dataset(tmp_path, classes=3, per_class=6, holdout=4)
+    path, params, bb = tiny_checkpoint(tmp_path)
+    assert run_cli("eval", "--checkpoint", str(path), "--manifest", str(data),
+                   "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS) == 0
+    doc = json.loads((tmp_path / "report" / "report.json").read_text())
+    images, labels = load_dataset(DatasetManifest.load(data), split="test")
+    pairs = make_pairs(labels, 4, 3, otface.config.DEFAULTS["eval"]["pair_seed"])
+    report = kfold_accuracy(pairs, pair_scores(embed(images, params, bb), pairs), k=3)
+    assert doc["fold_accuracies"] == report.fold_accuracies
+    assert doc["thresholds"] == report.thresholds
+    assert doc["mean_accuracy"] == report.mean_accuracy
 
 
 def test_ot_solve_two_atom_case(tmp_path, capsys):

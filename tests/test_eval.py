@@ -21,19 +21,41 @@ def pairset(same_flags, folds):
                    np.array(folds))
 
 
-def sweep_oracle_accuracy(train_s, train_y, test_s, test_y):
+def sweep_oracle(train_s, train_y, test_s, test_y):
     """Brute-force: try every midpoint/sentinel threshold on the train
-    split, break accuracy ties toward the smaller threshold."""
+    split, break accuracy ties toward the smaller threshold. Returns the
+    held-out accuracy and the chosen threshold."""
     uniq = np.unique(train_s)
     cands = np.concatenate(([uniq[0] - 1.0],
                             (uniq[:-1] + uniq[1:]) / 2.0,
                             [uniq[-1] + 1.0]))
     best_t, best_a = None, -1.0
     for t in cands:
-        a = np.mean((train_s >= t) == train_y)
+        a = float(np.mean((train_s >= t) == train_y))
         if a > best_a:
             best_a, best_t = a, t
-    return np.mean((test_s >= best_t) == test_y)
+    return float(np.mean((test_s >= best_t) == test_y)), float(best_t)
+
+
+def scan_roc_oracle(scores, same):
+    """(FAR, TAR) by comparing every observed score threshold against
+    every score, thresholds descending."""
+    genuine, impostor = scores[same], scores[~same]
+    return [(float(np.mean(impostor >= t)), float(np.mean(genuine >= t)))
+            for t in np.unique(scores)[::-1]]
+
+
+def scan_tar_oracle(scores, same, targets):
+    """TAR at the smallest observed score whose FAR is <= each target,
+    found by scanning every threshold."""
+    genuine, impostor = scores[same], scores[~same]
+    out = {}
+    for target in targets:
+        feasible = [t for t in np.unique(scores)
+                    if np.mean(impostor >= t) <= target]
+        out[target] = (None if target < 1.0 / impostor.size or not feasible
+                       else float(np.mean(genuine >= min(feasible))))
+    return out
 
 
 def test_pair_scores_reference_points():
@@ -85,9 +107,43 @@ def test_kfold_matches_brute_force_sweep():
                                 scores, k=4)
         for f in range(4):
             held = folds == f
-            expected = sweep_oracle_accuracy(scores[~held], same[~held],
-                                             scores[held], same[held])
-            assert report.fold_accuracies[f] == pytest.approx(expected)
+            expected, threshold = sweep_oracle(scores[~held], same[~held],
+                                               scores[held], same[held])
+            assert report.fold_accuracies[f] == expected
+            assert report.thresholds[f] == threshold
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 240), st.integers(2, 5),
+       st.sampled_from(["continuous", "rounded", "few_values"]), st.booleans())
+def test_protocol_equals_per_threshold_scan(seed, n, k, kind, equal_folds):
+    # the sorted-count protocol must reproduce the scan bit for bit,
+    # including heavy ties, unequal folds and FAR == 1/num_impostors
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=n)
+    if kind == "rounded":
+        scores = np.round(scores, 1)
+    elif kind == "few_values":
+        scores = rng.choice(rng.normal(size=int(rng.integers(3, 6))), size=n)
+    same = rng.random(n) < rng.uniform(0.2, 0.8)
+    same[:2] = [True, False]
+    if equal_folds:
+        folds = np.arange(n) % k
+    else:
+        folds = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    report = kfold_accuracy(pairset(same.tolist(), folds.tolist()), scores, k=k)
+    expected = [sweep_oracle(scores[folds != f], same[folds != f],
+                             scores[folds == f], same[folds == f])
+                for f in range(k)]
+    assert report.fold_accuracies == [acc for acc, _ in expected]
+    assert report.thresholds == [t for _, t in expected]
+    assert report.mean_accuracy == float(np.mean([acc for acc, _ in expected]))
+    assert report.roc_points == scan_roc_oracle(scores, same)
+    num_impostors = int(np.count_nonzero(~same))
+    targets = [1.0 / num_impostors, 0.5 / num_impostors, 2.0 / num_impostors,
+               0.01, 0.1, 0.5, 1.0]
+    assert tar_at_far(scores, same, targets) == scan_tar_oracle(scores, same,
+                                                                targets)
 
 
 @settings(deadline=None, max_examples=25)
@@ -109,6 +165,28 @@ def test_kfold_invariant_under_positive_affine_transform(seed, a, b):
     base = kfold_accuracy(ps, scores, k=4)
     warped = kfold_accuracy(ps, a * scores + b, k=4)
     assert base.fold_accuracies == warped.fold_accuracies
+
+
+def test_protocol_with_nan_scores_equals_per_threshold_scan():
+    # a NaN score is never >= a threshold and a NaN threshold accepts
+    # nothing; repr compares exactly and, unlike ==, equates NaNs
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.normal(size=60), 1)
+        scores[rng.integers(0, 60, size=3)] = np.nan
+        same = rng.random(60) < 0.5
+        same[:2] = [True, False]
+        folds = np.arange(60) % 3
+        report = kfold_accuracy(pairset(same.tolist(), folds.tolist()), scores, k=3)
+        expected = [sweep_oracle(scores[folds != f], same[folds != f],
+                                 scores[folds == f], same[folds == f])
+                    for f in range(3)]
+        assert repr(report.fold_accuracies) == repr([acc for acc, _ in expected])
+        assert repr(report.thresholds) == repr([t for _, t in expected])
+        assert repr(report.roc_points) == repr(scan_roc_oracle(scores, same))
+        targets = [0.05, 0.2, 0.5]
+        assert repr(tar_at_far(scores, same, targets)) == repr(
+            scan_tar_oracle(scores, same, targets))
 
 
 def test_kfold_requires_two_folds():
@@ -162,7 +240,12 @@ def test_tar_at_far_matches_enumeration_oracle():
         feasible = [t for t in np.unique(scores)
                     if np.mean(impostor >= t) <= target]
         expected = np.mean(genuine >= min(feasible))
-        assert got == pytest.approx(expected)
+        assert got == expected
+
+
+def test_tar_at_far_rejects_pair_set_without_genuine_pairs():
+    with pytest.raises(ContractError, match="genuine"):
+        tar_at_far(np.array([0.9, 0.1, 0.2]), np.zeros(3, dtype=bool), [0.5])
 
 
 def test_tar_at_far_unattainable_target_is_none():
