@@ -25,19 +25,14 @@ from .mining import HardGroup, LabeledBatch, mine_hard_groups
 from .ot import (
     SinkhornConfig,
     TransportPlan,
-    build_cost,
     exact_ot_uniform,
     ot_distance,
-    sinkhorn,
     sinkhorn_log_domain,
 )
 from .tensor import (
     EPS_NORM,
     Tensor,
     conv2d,
-    cosine_distance,
-    cosine_similarity,
-    l2_normalize,
     normalize_cols,
     normalize_rows,
     stack,

@@ -24,7 +24,7 @@ from .data import (
 from .errors import ConfigurationError, OTFaceError
 from .evaluation import kfold_accuracy, make_pairs, pair_scores, tar_at_far
 from .mining import LabeledBatch, mine_hard_groups
-from .ot import SinkhornConfig, solve
+from .ot import SinkhornConfig, sinkhorn_log_domain
 from .trainer import Trainer
 
 METRICS_COLUMNS = ("epoch", "margin_loss", "ot_loss", "total", "hard_groups", "lr")
@@ -168,9 +168,8 @@ def cmd_mine(args) -> int:
 
 def cmd_ot_solve(args) -> int:
     cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
-    plan = solve(cost, SinkhornConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                                      marginal_tol=args.tol,
-                                      log_domain=args.log_domain))
+    plan = sinkhorn_log_domain(cost, SinkhornConfig(
+        epsilon=args.epsilon, max_iters=args.max_iters, marginal_tol=args.tol))
     print(f"value: {plan.value!r}")
     print(f"iterations: {plan.iterations_used}")
     print(f"marginal_violation: {plan.marginal_violation:.3e}")
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--epsilon", type=float, required=True)
     q.add_argument("--max-iters", type=int, default=200)
     q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--log-domain", action="store_true")
     q.set_defaults(func=cmd_ot_solve)
 
     return parser

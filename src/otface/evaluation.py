@@ -74,9 +74,12 @@ def pair_scores(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:
     """Cosine similarity per pair."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(embeddings, axis=1)
-    bad = np.nonzero(norms <= EPS_NORM)[0]
+    # a NaN or infinite norm is rejected too
+    bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
     if bad.size:
-        raise DegenerateInputError(f"embedding {int(bad[0])} has near-zero norm")
+        raise DegenerateInputError(
+            f"embedding {int(bad[0])} has norm {norms[bad[0]]:.3e}"
+        )
     rows = embeddings / norms[:, None]
     return np.clip(np.sum(rows[pairs.left] * rows[pairs.right], axis=1), -1.0, 1.0)
 

@@ -39,14 +39,6 @@ class MarginConfig:
             raise ConfigurationError(f"cosine margin must be < 1, got {self.margin}")
         return self
 
-    @classmethod
-    def arcface_defaults(cls) -> "MarginConfig":
-        return cls(variant="additive_angular", scale=64.0, margin=0.5)
-
-    @classmethod
-    def amsoftmax_defaults(cls) -> "MarginConfig":
-        return cls(variant="additive_cosine", scale=30.0, margin=0.35)
-
 
 class ClassifierWeights:
     """d x num_classes weight matrix, column-normalized before use."""

@@ -43,7 +43,8 @@ class LabeledBatch:
                 f"{self.embeddings.shape[0]} embeddings"
             )
         norms = np.linalg.norm(self.embeddings, axis=1)
-        bad = np.nonzero(norms <= EPS_NORM)[0]
+        # a NaN or infinite norm is rejected too
+        bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
         if bad.size:
             raise DegenerateInputError(
                 f"embedding {int(bad[0])} has norm {norms[bad[0]]:.3e}"

@@ -1,26 +1,22 @@
 """Entropic optimal transport between uniform discrete distributions.
 
-Both marginals are 1/n. The Gibbs kernel is K = exp(-C/epsilon) and the
-Sinkhorn fixed point alternates
-
-    v <- (1/n) / (K^T u),    u <- (1/n) / (K v),
-
-starting from u = 1. A log-domain variant survives small epsilon, an
-exact permutation-enumeration oracle covers n <= 8, and `ot_distance`
-unrolls a fixed iteration budget on the autodiff tape so gradients flow
-into both input distributions.
+Both marginals are 1/n, the Gibbs kernel is K = exp(-C/epsilon) and the
+Sinkhorn fixed point alternates v <- (1/n) / (K^T u), u <- (1/n) / (K v).
+The one solver, `sinkhorn_log_domain`, iterates on log u and log v, so it
+survives small epsilon. An exact permutation-enumeration oracle covers
+n <= 8, and `ot_distance` unrolls a fixed iteration budget on the
+autodiff tape so gradients flow into both input distributions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DegenerateInputError, \
-    NumericalRegimeError
-from .tensor import EPS_NORM, Tensor, as_tensor, normalize_rows
+from .errors import ConfigurationError, ContractError, NumericalRegimeError
+from .tensor import Tensor, as_tensor, normalize_rows
 
 
 @dataclass
@@ -30,7 +26,8 @@ class SinkhornConfig:
     epsilon: float = 0.02
     max_iters: int = 200
     marginal_tol: float = 1e-6
-    log_domain: bool = False
+    # Only the log-domain solver exists; False is rejected.
+    log_domain: bool = True
     # Fixed iteration budget for the differentiable (unrolled) path.
     unroll_iters: int = 50
     # Subtract epsilon * H(P) from the reported ot_distance value.
@@ -49,6 +46,9 @@ class SinkhornConfig:
             raise ConfigurationError(
                 f"unroll_iters must be positive, got {self.unroll_iters}"
             )
+        if not self.log_domain:
+            raise ConfigurationError("log_domain=False is not supported: the "
+                                     "standard-domain solver was removed")
         return self
 
 
@@ -66,8 +66,6 @@ class TransportPlan:
     iterations_used: int
     marginal_violation: float
     converged: bool
-    scaling_u: np.ndarray | None = field(default=None, repr=False)
-    scaling_v: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_cost(cost: np.ndarray) -> np.ndarray:
@@ -79,73 +77,6 @@ def _check_cost(cost: np.ndarray) -> np.ndarray:
     if np.any(cost < 0.0):
         raise ContractError("cost matrix must be nonnegative")
     return cost
-
-
-def build_cost(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Pairwise cosine distances between rows of two n x d distributions."""
-    m1 = np.asarray(m1, dtype=np.float64)
-    m2 = np.asarray(m2, dtype=np.float64)
-    if m1.shape != m2.shape or m1.ndim != 2:
-        raise ContractError(
-            f"distributions must share an n x d shape, got {m1.shape} and {m2.shape}"
-        )
-    for name, m in (("first", m1), ("second", m2)):
-        norms = np.linalg.norm(m, axis=1)
-        bad = np.nonzero(norms <= EPS_NORM)[0]
-        if bad.size:
-            raise DegenerateInputError(
-                f"{name} distribution row {int(bad[0])} has norm {norms[bad[0]]:.3e}"
-            )
-    r1 = m1 / np.linalg.norm(m1, axis=1, keepdims=True)
-    r2 = m2 / np.linalg.norm(m2, axis=1, keepdims=True)
-    return np.clip(1.0 - r1 @ r2.T, 0.0, 2.0)
-
-
-def sinkhorn(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
-    """Standard-domain Sinkhorn scaling; raises when exp(-C/eps) underflows."""
-    cfg.validate()
-    cost = _check_cost(cost)
-    n = cost.shape[0]
-    kernel = np.exp(-cost / cfg.epsilon)
-    if np.any(kernel.sum(axis=1) == 0.0) or np.any(kernel.sum(axis=0) == 0.0):
-        raise NumericalRegimeError(
-            f"Gibbs kernel underflows at epsilon={cfg.epsilon}; "
-            "use the log-domain solver"
-        )
-    r = 1.0 / n
-    u = np.ones(n)
-    v = np.ones(n)
-    violation = np.inf
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        ktu = kernel.T @ u
-        if np.any(ktu == 0.0):
-            raise NumericalRegimeError(
-                "Sinkhorn scaling underflowed to a zero column sum; "
-                "use the log-domain solver"
-            )
-        v = r / ktu
-        kv = kernel @ v
-        if np.any(kv == 0.0):
-            raise NumericalRegimeError(
-                "Sinkhorn scaling underflowed to a zero row sum; "
-                "use the log-domain solver"
-            )
-        u = r / kv
-        # Row marginals are exact right after the u-update; only columns drift.
-        violation = float(np.max(np.abs(v * (kernel.T @ u) - r)))
-        if violation <= cfg.marginal_tol:
-            break
-    plan = u[:, None] * kernel * v[None, :]
-    return TransportPlan(
-        plan=plan,
-        value=float((cost * plan).sum()),
-        iterations_used=iters,
-        marginal_violation=violation,
-        converged=violation <= cfg.marginal_tol,
-        scaling_u=u,
-        scaling_v=v,
-    )
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
@@ -232,7 +163,7 @@ STALL_WINDOW = 20
 
 
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
-    """Log-space Sinkhorn; same contract as `sinkhorn` but underflow-proof.
+    """Sinkhorn scaling on log potentials, so exp(-C/eps) never underflows.
 
     Plain alternating updates run until the marginals converge or the
     violation stops contracting (not halved over `STALL_WINDOW`
@@ -282,24 +213,17 @@ def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
         iters += extra + steps
         violation = _violation(log_kernel, log_u, log_v)
     plan = np.exp(log_u + log_kernel + log_v)
-    with np.errstate(over="ignore"):  # diagnostic only; duals can be huge
-        scaling_u, scaling_v = np.exp(log_u.ravel()), np.exp(log_v.ravel())
     return TransportPlan(
         plan=plan,
         value=float((cost * plan).sum()),
         iterations_used=iters,
         marginal_violation=violation,
         converged=violation <= cfg.marginal_tol,
-        scaling_u=scaling_u,
-        scaling_v=scaling_v,
     )
 
 
-def solve(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
-    """Dispatch on cfg.log_domain."""
-    if cfg.log_domain:
-        return sinkhorn_log_domain(cost, cfg)
-    return sinkhorn(cost, cfg)
+# The benchmark harness calls the solver as `ot.solve`.
+solve = sinkhorn_log_domain
 
 
 def exact_ot_uniform(cost: np.ndarray) -> float:

@@ -12,7 +12,7 @@ counting as soon as its root is dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -446,17 +446,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# normalization and cosine geometry
+# normalization
 # ---------------------------------------------------------------------------
-
-def l2_normalize(v: Tensor) -> Tensor:
-    """Scale a vector to unit L2 norm; rejects near-zero inputs."""
-    v = as_tensor(v)
-    norm = float(np.linalg.norm(v.data))
-    if norm <= EPS_NORM:
-        raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
-    return v / (v * v).sum().sqrt()
-
 
 def normalize_rows(m: Tensor) -> Tensor:
     """L2-normalize each row of a 2-D tensor, or of every matrix in a
@@ -478,15 +469,3 @@ def normalize_cols(m: Tensor) -> Tensor:
     if bad.size:
         raise DegenerateInputError(f"column {int(bad[0])} has norm {norms[bad[0]]:.3e}")
     return m / (m * m).sum(axis=0, keepdims=True).sqrt()
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """cos of the angle between two vectors, clamped to [-1, 1]."""
-    a = l2_normalize(as_tensor(a).reshape(-1))
-    b = l2_normalize(as_tensor(b).reshape(-1))
-    return (a * b).sum().clip(-1.0, 1.0)
-
-
-def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """1 - cosine_similarity, in [0, 2]."""
-    return 1.0 - cosine_similarity(a, b)

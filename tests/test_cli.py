@@ -187,6 +187,17 @@ def test_ot_solve_two_atom_case(tmp_path, capsys):
     assert float(lines["marginal_violation"]) <= 1e-6
 
 
+def test_ot_solve_converges_where_the_kernel_underflows(tmp_path, capsys):
+    cost = tmp_path / "cost.csv"
+    np.savetxt(cost, np.random.default_rng(5).uniform(0.0, 2.0, size=(4, 4)),
+               delimiter=",")
+    assert run_cli("ot", "solve", "--cost", str(cost), "--epsilon", "1e-4") == 0
+    out = capsys.readouterr().out
+    lines = dict(line.split(": ") for line in out.strip().splitlines())
+    assert lines["converged"] == "True"
+    assert float(lines["marginal_violation"]) <= 1e-6
+
+
 def test_mine_subcommand_prints_groups(tmp_path, capsys):
     emb = tmp_path / "emb.csv"
     labels = tmp_path / "labels.csv"
@@ -198,6 +209,16 @@ def test_mine_subcommand_prints_groups(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "anchor,positive,negative"
     assert "0,1,2" in out[1:]
+
+
+def test_mine_rejects_embedding_row_with_nan(tmp_path, capsys):
+    emb = tmp_path / "emb.csv"
+    labels = tmp_path / "labels.csv"
+    emb.write_text("1,0\n0,1\nnan,0.1\n-1,-1\n")
+    labels.write_text("0\n0\n1\n1\n")
+    assert run_cli("mine", "--embeddings", str(emb), "--labels", str(labels)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "embedding 2" in err
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):

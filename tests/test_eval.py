@@ -80,6 +80,14 @@ def test_pair_scores_rejects_zero_embedding():
         pair_scores(emb, PairSet([0], [1], [True], [0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pair_scores_rejects_non_finite_embedding(bad):
+    emb = np.random.default_rng(1).normal(size=(4, 3))
+    emb[2, 1] = bad
+    with pytest.raises(DegenerateInputError, match="embedding 2"):
+        pair_scores(emb, PairSet([0, 1], [2, 3], [True, False], [0, 0]))
+
+
 def test_kfold_perfectly_separable_is_one():
     same = [True] * 10 + [False] * 10
     folds = list(range(5)) * 2 + list(range(5)) * 2

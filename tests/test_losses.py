@@ -38,8 +38,6 @@ def test_margin_config_validation():
         MarginConfig(variant="additive_angular", margin=math.pi / 2).validate()
     with pytest.raises(ConfigurationError):
         MarginConfig(scale=0.0).validate()
-    assert MarginConfig.arcface_defaults().validate().scale == 64.0
-    assert MarginConfig.amsoftmax_defaults().validate().margin == 0.35
 
 
 def test_classifier_columns_normalize_to_unit():

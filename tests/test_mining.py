@@ -156,3 +156,6 @@ def test_batch_validation():
     bad[1] = 0.0
     with pytest.raises(DegenerateInputError):
         LabeledBatch(bad, np.array([0, 1, 0]))
+    bad[1] = [np.nan, 1.0]
+    with pytest.raises(DegenerateInputError, match="embedding 1"):
+        LabeledBatch(bad, np.array([0, 1, 0]))

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from otface import (
+    ConfigurationError,
     ContractError,
-    DegenerateInputError,
-    NumericalRegimeError,
     SinkhornConfig,
     Tensor,
-    build_cost,
     exact_ot_uniform,
     ot_distance,
-    sinkhorn,
     sinkhorn_log_domain,
 )
-from otface.ot import solve
 
 from conftest import check_grad, numeric_grad, rel_err
 
@@ -29,42 +25,8 @@ def random_cost(rng, n):
     return rng.uniform(0.0, 2.0, size=(n, n))
 
 
-def test_build_cost_orthonormal_rows():
-    m = np.eye(3)
-    cost = build_cost(m, m)
-    assert np.allclose(np.diag(cost), 0.0)
-    off = cost[~np.eye(3, dtype=bool)]
-    assert np.allclose(off, 1.0)
-
-
-def test_build_cost_single_row():
-    m1 = np.array([[3.0, 0.0]])
-    m2 = np.array([[1.0, 1.0]])
-    expected = 1.0 - 1.0 / math.sqrt(2.0)
-    assert build_cost(m1, m2)[0, 0] == pytest.approx(expected)
-
-
-def test_build_cost_matches_double_loop():
-    rng = np.random.default_rng(4)
-    m1, m2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    cost = build_cost(m1, m2)
-    for i in range(4):
-        for j in range(4):
-            ci = 1.0 - np.dot(m1[i], m2[j]) / (
-                np.linalg.norm(m1[i]) * np.linalg.norm(m2[j])
-            )
-            assert cost[i, j] == pytest.approx(ci, abs=1e-12)
-
-
-def test_build_cost_rejects_degenerate_row():
-    m = np.ones((3, 2))
-    m[2] = 0.0
-    with pytest.raises(DegenerateInputError, match="row 2"):
-        build_cost(m, np.ones((3, 2)))
-
-
 def test_sinkhorn_single_atom():
-    plan = sinkhorn(np.array([[0.7]]), SinkhornConfig(epsilon=0.3))
+    plan = sinkhorn_log_domain(np.array([[0.7]]), SinkhornConfig(epsilon=0.3))
     assert np.allclose(plan.plan, [[1.0]])
     assert plan.value == pytest.approx(0.7)
 
@@ -72,19 +34,18 @@ def test_sinkhorn_single_atom():
 def test_sinkhorn_two_atom_closed_form():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     for eps in (0.5, 0.1, 0.01):
-        plan = sinkhorn(cost, SinkhornConfig(epsilon=eps))
+        plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=eps))
         a = two_atom_diag(eps)
         expected = np.array([[a, 0.5 - a], [0.5 - a, a]])
         assert np.allclose(plan.plan, expected, atol=1e-9)
         assert plan.value == pytest.approx(2.0 * (0.5 - a), abs=1e-6)
-    tight = sinkhorn(cost, SinkhornConfig(epsilon=0.01))
+    tight = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.01))
     assert np.allclose(tight.plan, [[0.5, 0.0], [0.0, 0.5]], atol=1e-6)
     assert tight.value < 1e-3
 
 
 def test_sinkhorn_near_exact_at_small_epsilon():
-    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-10,
-                         log_domain=True)
+    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-10)
     for seed in range(20):
         cost = random_cost(np.random.default_rng(seed), 4)
         plan = sinkhorn_log_domain(cost, cfg)
@@ -96,7 +57,7 @@ def test_sinkhorn_near_exact_at_small_epsilon():
 def test_converged_plans_are_feasible():
     for seed in range(20):
         cost = random_cost(np.random.default_rng(100 + seed), 5)
-        plan = sinkhorn(cost, SinkhornConfig(epsilon=0.3, max_iters=500))
+        plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.3, max_iters=500))
         assert plan.converged
         assert plan.marginal_violation <= 1e-6
         assert np.all(plan.plan >= 0.0)
@@ -105,37 +66,51 @@ def test_converged_plans_are_feasible():
 
 
 def test_plan_recomputes_from_scaling_vectors():
+    # P = diag(u) K diag(v) exactly when log P + C/eps = log u_i + log v_j,
+    # i.e. when its double-centred form vanishes
     cost = random_cost(np.random.default_rng(8), 4)
     cfg = SinkhornConfig(epsilon=0.05)
-    plan = sinkhorn(cost, cfg)
-    kernel = np.exp(-cost / cfg.epsilon)
-    rebuilt = plan.scaling_u[:, None] * kernel * plan.scaling_v[None, :]
-    assert np.max(np.abs(rebuilt - plan.plan)) < 1e-12
+    plan = sinkhorn_log_domain(cost, cfg)
+    log_scalings = np.log(plan.plan) + cost / cfg.epsilon
+    centred = (log_scalings - log_scalings.mean(axis=1, keepdims=True)
+               - log_scalings.mean(axis=0, keepdims=True) + log_scalings.mean())
+    assert np.max(np.abs(centred)) < 1e-9
 
 
 def test_scaling_identity():
     cost = random_cost(np.random.default_rng(9), 4)
-    base = sinkhorn(cost, SinkhornConfig(epsilon=0.05))
+    base = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.05))
     for alpha in (0.5, 2.0, 7.0):
-        scaled = sinkhorn(alpha * cost, SinkhornConfig(epsilon=alpha * 0.05))
+        scaled = sinkhorn_log_domain(alpha * cost, SinkhornConfig(epsilon=alpha * 0.05))
         assert np.max(np.abs(scaled.plan - base.plan)) < 1e-9
+
+
+def _standard_domain_plan(cost, epsilon, iters):
+    """Textbook Sinkhorn scaling on the kernel itself."""
+    n = cost.shape[0]
+    kernel = np.exp(-cost / epsilon)
+    u = np.ones((n, 1))
+    for _ in range(iters):
+        v = (1.0 / n) / (kernel.T @ u)
+        u = (1.0 / n) / (kernel @ v)
+    return u * kernel * v.T
 
 
 def test_log_domain_agrees_with_standard_path():
     for seed in range(30):
         cost = random_cost(np.random.default_rng(200 + seed), 4)
         cfg = SinkhornConfig(epsilon=0.3, max_iters=500, marginal_tol=1e-9)
-        std = sinkhorn(cost, cfg)
         log = sinkhorn_log_domain(cost, cfg)
-        assert np.max(np.abs(std.plan - log.plan)) < 1e-8
+        std = _standard_domain_plan(cost, cfg.epsilon, 500)
+        assert np.max(np.abs(std - log.plan)) < 1e-8
 
 
 def test_log_domain_survives_standard_underflow():
     rng = np.random.default_rng(5)
     cost = random_cost(rng, 4)
     cfg = SinkhornConfig(epsilon=1e-4, max_iters=500, marginal_tol=1e-9)
-    with pytest.raises(NumericalRegimeError):
-        sinkhorn(cost, cfg)
+    # exp(-C/eps) underflows to 0 for every entry above ~0.075
+    assert np.any(np.exp(-cost / cfg.epsilon).sum(axis=1) == 0.0)
     plan = sinkhorn_log_domain(cost, cfg)
     assert plan.converged
     assert plan.marginal_violation <= 1e-9
@@ -143,21 +118,16 @@ def test_log_domain_survives_standard_underflow():
     assert plan.value >= exact_ot_uniform(cost) - 1e-9
 
 
-def test_solve_dispatches_on_log_domain_flag():
-    cost = random_cost(np.random.default_rng(6), 3)
-    std = solve(cost, SinkhornConfig(epsilon=0.3, max_iters=500))
-    log = solve(cost, SinkhornConfig(epsilon=0.3, max_iters=500, log_domain=True))
-    assert np.max(np.abs(std.plan - log.plan)) < 1e-8
-
-
 def test_sinkhorn_input_validation():
     cfg = SinkhornConfig()
     with pytest.raises(ContractError):
-        sinkhorn(np.ones((2, 3)), cfg)
+        sinkhorn_log_domain(np.ones((2, 3)), cfg)
     with pytest.raises(ContractError):
-        sinkhorn(np.array([[-0.1, 0.0], [0.0, 0.0]]), cfg)
+        sinkhorn_log_domain(np.array([[-0.1, 0.0], [0.0, 0.0]]), cfg)
     with pytest.raises(Exception):
         SinkhornConfig(epsilon=0.0).validate()
+    with pytest.raises(ConfigurationError, match="standard-domain solver"):
+        SinkhornConfig(log_domain=False).validate()
 
 
 def test_exact_ot_uniform_reference_cases():
@@ -193,7 +163,10 @@ def test_ot_distance_matches_nondifferentiable_solver():
     m1, m2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     cfg = SinkhornConfig(epsilon=0.1, unroll_iters=200, marginal_tol=1e-12)
     value = ot_distance(Tensor(m1), Tensor(m2), cfg).item()
-    reference = sinkhorn(build_cost(m1, m2), cfg).value
+    r1 = m1 / np.linalg.norm(m1, axis=1, keepdims=True)
+    r2 = m2 / np.linalg.norm(m2, axis=1, keepdims=True)
+    cost = np.clip(1.0 - r1 @ r2.T, 0.0, 2.0)
+    reference = sinkhorn_log_domain(cost, cfg).value
     assert value == pytest.approx(reference, abs=1e-9)
 
 
@@ -271,7 +244,7 @@ def test_oracle_sandwich_monotone_in_epsilon():
         gaps = []
         for eps in (0.05, 0.01, 0.005):
             cfg = SinkhornConfig(epsilon=eps, max_iters=500,
-                                 marginal_tol=1e-12, log_domain=True)
+                                 marginal_tol=1e-12)
             gaps.append(sinkhorn_log_domain(cost, cfg).value - exact)
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[0] >= gaps[1] - 1e-10 and gaps[1] >= gaps[2] - 1e-10
@@ -292,8 +265,7 @@ def _plain_log_sinkhorn_violation(cost, epsilon, iters):
 def test_stalled_cold_start_hands_off_before_budget_is_spent():
     # criterion-1 problems at the smallest epsilon; seeds 0-39 hold none
     # of the locked-support cases that need the epsilon ladder
-    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12,
-                         log_domain=True)
+    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12)
     stalled = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -319,8 +291,7 @@ def test_locked_support_still_runs_the_epsilon_ladder(monkeypatch):
         return real_anneal(cost, *args, **kwargs)
 
     monkeypatch.setattr(ot, "_anneal", spy)
-    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12,
-                         log_domain=True)
+    cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12)
     for seed in (129, 140, 165):  # criterion-1 seeds with a locked support
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from otface import (
     ContractError,
@@ -9,9 +7,6 @@ from otface import (
     ShapeMismatchError,
     Tensor,
     conv2d,
-    cosine_distance,
-    cosine_similarity,
-    l2_normalize,
     normalize_cols,
     normalize_rows,
     stack,
@@ -121,6 +116,8 @@ _OP_CASES = {
     "matmul": lambda t, c: (t @ c).sum(),
     "broadcast_add": lambda t, c: (t + t.sum(axis=0, keepdims=True)).sum(),
     "batched_matmul": lambda t, c: (stack([t, c]) @ stack([c, t * t]).mT).sum(),
+    "normalize_rows": lambda t, c: (normalize_rows(t) * c).sum(),
+    "normalize_cols": lambda t, c: (normalize_cols(t) * c).sum(),
 }
 
 
@@ -165,32 +162,15 @@ def test_conv2d_gradients_match_finite_differences():
                k0, tol=1e-4)
 
 
-def test_l2_normalize_345_triangle():
-    out = l2_normalize(Tensor([3.0, 4.0]))
-    assert np.allclose(out.data, [0.6, 0.8])
-
-
-def test_l2_normalize_unit_vector_fixed_point():
-    v = np.array([0.0, 1.0, 0.0])
-    assert np.allclose(l2_normalize(Tensor(v)).data, v)
-
-
-def test_l2_normalize_output_norm_is_one():
+def test_normalize_rows_and_cols_give_unit_norms():
     for seed in range(20):
-        v = np.random.default_rng(seed).normal(size=6)
-        assert abs(np.linalg.norm(l2_normalize(Tensor(v)).data) - 1.0) < 1e-9
-
-
-def test_l2_normalize_rejects_zero_vector():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize(Tensor(np.zeros(4)))
-
-
-def test_l2_normalize_gradient():
-    rng = np.random.default_rng(2)
-    x0 = rng.normal(size=8)
-    w = Tensor(rng.normal(size=8))
-    check_grad(lambda t: (l2_normalize(t) * w).sum(), x0, tol=1e-5)
+        m = np.random.default_rng(seed).normal(size=(2, 5, 6))
+        rows = normalize_rows(Tensor(m)).data
+        assert np.max(np.abs(np.linalg.norm(rows, axis=-1) - 1.0)) < 1e-12
+        cols = normalize_cols(Tensor(m[0])).data
+        assert np.max(np.abs(np.linalg.norm(cols, axis=0) - 1.0)) < 1e-12
+    assert np.allclose(normalize_rows(Tensor([[3.0, 4.0]])).data, [[0.6, 0.8]])
+    assert np.allclose(normalize_cols(Tensor([[3.0], [4.0]])).data, [[0.6], [0.8]])
 
 
 def test_normalize_rows_and_cols_report_offending_index():
@@ -200,36 +180,6 @@ def test_normalize_rows_and_cols_report_offending_index():
         normalize_rows(Tensor(m))
     with pytest.raises(DegenerateInputError, match="column 0"):
         normalize_cols(Tensor(np.zeros((2, 2))))
-
-
-def test_cosine_similarity_orthogonal_and_antipodal():
-    a = Tensor([1.0, 0.0])
-    assert cosine_similarity(a, Tensor([0.0, 2.0])).item() == pytest.approx(0.0)
-    assert cosine_similarity(a, Tensor([-3.0, 0.0])).item() == pytest.approx(-1.0)
-
-
-def test_cosine_distance_reference_points():
-    e1 = Tensor([1.0, 0.0])
-    assert cosine_distance(e1, Tensor([2.0, 0.0])).item() == pytest.approx(0.0)
-    assert cosine_distance(e1, Tensor([0.0, 1.0])).item() == pytest.approx(1.0)
-    assert cosine_distance(e1, Tensor([-1.0, 0.0])).item() == pytest.approx(2.0)
-
-
-@settings(deadline=None, max_examples=50)
-@given(
-    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
-    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
-    st.floats(0.1, 100.0),
-)
-def test_cosine_similarity_symmetric_and_scale_invariant(a, b, alpha):
-    av, bv = np.array(a), np.array(b)
-    if np.linalg.norm(av) < 1e-6 or np.linalg.norm(bv) < 1e-6:
-        return
-    s1 = cosine_similarity(Tensor(av), Tensor(bv)).item()
-    s2 = cosine_similarity(Tensor(bv), Tensor(av)).item()
-    s3 = cosine_similarity(Tensor(alpha * av), Tensor(bv)).item()
-    assert abs(s1 - s2) < 1e-12
-    assert abs(s1 - s3) < 1e-9
 
 
 def test_log_rejects_nonpositive():
