@@ -162,15 +162,24 @@ def test_conv2d_gradients_match_finite_differences():
                k0, tol=1e-4)
 
 
-def test_normalize_rows_and_cols_give_unit_norms():
+def test_l2_normalize_345_triangle():
+    assert np.allclose(normalize_rows(Tensor([[3.0, 4.0]])).data, [[0.6, 0.8]])
+    assert np.allclose(normalize_cols(Tensor([[3.0], [4.0]])).data, [[0.6], [0.8]])
+
+
+def test_l2_normalize_unit_vector_fixed_point():
+    v = np.array([[0.0, 1.0, 0.0]])
+    assert np.allclose(normalize_rows(Tensor(v)).data, v)
+    assert np.allclose(normalize_cols(Tensor(v.T)).data, v.T)
+
+
+def test_l2_normalize_output_norm_is_one():
     for seed in range(20):
         m = np.random.default_rng(seed).normal(size=(2, 5, 6))
         rows = normalize_rows(Tensor(m)).data
         assert np.max(np.abs(np.linalg.norm(rows, axis=-1) - 1.0)) < 1e-12
         cols = normalize_cols(Tensor(m[0])).data
         assert np.max(np.abs(np.linalg.norm(cols, axis=0) - 1.0)) < 1e-12
-    assert np.allclose(normalize_rows(Tensor([[3.0, 4.0]])).data, [[0.6, 0.8]])
-    assert np.allclose(normalize_cols(Tensor([[3.0], [4.0]])).data, [[0.6], [0.8]])
 
 
 def test_normalize_rows_and_cols_report_offending_index():
