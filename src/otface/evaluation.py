@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
-from .tensor import EPS_NORM
+from .errors import ContractError
+from .tensor import row_norms
 
 
 @dataclass
@@ -73,14 +73,7 @@ def make_pairs(labels: np.ndarray, pairs_per_fold: int, num_folds: int = 10,
 def pair_scores(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:
     """Cosine similarity per pair."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(embeddings, axis=1)
-    # a NaN or infinite norm is rejected too
-    bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
-    if bad.size:
-        raise DegenerateInputError(
-            f"embedding {int(bad[0])} has norm {norms[bad[0]]:.3e}"
-        )
-    rows = embeddings / norms[:, None]
+    rows = embeddings / row_norms(embeddings)[:, None]
     return np.clip(np.sum(rows[pairs.left] * rows[pairs.right], axis=1), -1.0, 1.0)
 
 
@@ -188,8 +181,8 @@ def rank1_identification(probe_embeddings: np.ndarray, probe_labels: np.ndarray,
     probe_embeddings = np.asarray(probe_embeddings, dtype=np.float64)
     if gallery_embeddings.shape[0] == 0:
         raise ContractError("gallery must be nonempty")
-    g = gallery_embeddings / np.linalg.norm(gallery_embeddings, axis=1, keepdims=True)
-    p = probe_embeddings / np.linalg.norm(probe_embeddings, axis=1, keepdims=True)
+    g = gallery_embeddings / row_norms(gallery_embeddings, "gallery embedding")[:, None]
+    p = probe_embeddings / row_norms(probe_embeddings, "probe embedding")[:, None]
     nearest = np.argmax(p @ g.T, axis=1)
     return float(np.mean(
         np.asarray(gallery_labels)[nearest] == np.asarray(probe_labels)

@@ -53,10 +53,6 @@ class ClassifierWeights:
     def num_classes(self) -> int:
         return self.tensor.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[0]
-
     def normalized(self) -> Tensor:
         return normalize_cols(self.tensor)
 

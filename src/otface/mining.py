@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
-from .tensor import EPS_NORM
+from .errors import ContractError
+from .tensor import row_norms
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,7 @@ class LabeledBatch:
                 f"labels shape {self.labels.shape} does not match "
                 f"{self.embeddings.shape[0]} embeddings"
             )
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        # a NaN or infinite norm is rejected too
-        bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
-        if bad.size:
-            raise DegenerateInputError(
-                f"embedding {int(bad[0])} has norm {norms[bad[0]]:.3e}"
-            )
+        row_norms(self.embeddings)
 
 
 def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:

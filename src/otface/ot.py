@@ -56,9 +56,9 @@ class SinkhornConfig:
 class TransportPlan:
     """Coupling matrix with solver diagnostics.
 
-    `iterations_used` counts all the work of a solve: plain scaling
-    iterations, Newton steps, and, when the epsilon ladder ran, its
-    iterations and the Newton steps that followed it.
+    `iterations_used` counts the plain scaling iterations of every level
+    of the epsilon ladder, which `max_iters` caps, plus the Newton steps
+    that followed them.
     """
 
     plan: np.ndarray
@@ -122,95 +122,88 @@ def _newton_polish(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray,
     return log_u, log_v, steps
 
 
-def _anneal(cost: np.ndarray, eps_target: float, iters_per_level: int
-            ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rerun the scaling loop over a decreasing epsilon ladder.
-
-    At very small epsilon a cold start can lock onto an infeasible
-    support (mass stuck on a too-sparse set of entries); warm-starting
-    the dual potentials from a smoother problem avoids that. Potentials
-    f = eps*log_u live in cost units, so they carry across levels.
-    Returns the duals as an (n, 1) column and a (1, n) row.
-    """
-    n = cost.shape[0]
-    log_r = -np.log(n)
-    f = np.zeros((n, 1))
-    g = np.zeros((1, n))
-    levels = []
-    eps = max(eps_target, 1.0)
-    while eps > eps_target:
-        levels.append(eps)
-        eps /= 10.0
-    levels.append(eps_target)
-    total = 0
-    for eps in levels:
-        log_kernel = -cost / eps
-        log_u, log_v = f / eps, g / eps
-        for _ in range(iters_per_level):
-            log_v = log_r - _lse(log_kernel + log_u, axis=0)
-            log_u = log_r - _lse(log_kernel + log_v, axis=1)
-        total += iters_per_level
-        f, g = eps * log_u, eps * log_v
-    return log_u, log_v, total
-
-
 # The plain updates have stalled once the marginal violation has not
-# halved over this many iterations; Newton then finishes from the current
-# duals. Windows of 10 to 100 iterations all converge every criterion-1
-# problem and n = 16 tap cost; a longer window spends more plain
-# iterations before the hand-off.
+# halved over this many iterations. Windows of 10 to 100 iterations all
+# converge every criterion-1 problem and n = 16 tap cost; a longer window
+# spends more plain iterations before the hand-off.
 STALL_WINDOW = 20
+
+# Levels of the epsilon ladder above the target stop at this violation:
+# they only move the potentials near the next level's fixed point. Running
+# them to `marginal_tol` made random-cost solves about 45% slower.
+COARSE_TOL = 1e-2
+
+
+def _plain(log_kernel: np.ndarray, log_u: np.ndarray, tol: float, budget: int
+           ) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Alternating updates from `log_u` until the violation reaches `tol`,
+    stops halving over `STALL_WINDOW` iterations, or, at the rate seen over
+    that window, cannot reach `tol` within `budget` iterations.
+
+    Returns the duals, an (n, 1) column and a (1, n) row, their violation
+    (inf if no iteration ran) and the number of iterations run.
+    """
+    n = log_kernel.shape[0]
+    log_r = -np.log(n)
+    # Column log-sum-exps for the next v-update; after a u-update they
+    # also give the plan's column sums, exp(log_v + lse_cols), while its
+    # rows are exact.
+    lse_cols = _lse(log_kernel + log_u, axis=0)
+    log_v = log_r - lse_cols
+    history: list[float] = []
+    violation = np.inf
+    iters = 0
+    while iters < budget:
+        iters += 1
+        log_v = log_r - lse_cols
+        log_u = log_r - _lse(log_kernel + log_v, axis=1)
+        lse_cols = _lse(log_kernel + log_u, axis=0)
+        violation = float(np.max(np.abs(np.exp(log_v + lse_cols) - 1.0 / n)))
+        if violation <= tol:
+            break
+        history.append(violation)
+        if len(history) > STALL_WINDOW:
+            rate = violation / history[-1 - STALL_WINDOW]
+            if rate > 0.5 or violation * rate ** ((budget - iters) / STALL_WINDOW) > tol:
+                break
+    return log_u, log_v, violation, iters
 
 
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     """Sinkhorn scaling on log potentials, so exp(-C/eps) never underflows.
 
-    Plain alternating updates run until the marginals converge or the
-    violation stops contracting (not halved over `STALL_WINDOW`
-    iterations). A stalled solve goes straight to Newton refinement of
-    the current dual potentials. Only when Newton misses the marginal
-    tolerance, as on a support locked at very small epsilon, is the
-    solve rerun on a decreasing epsilon ladder and finished with Newton
-    again; the fixed point is the same.
+    Every solve walks an epsilon ladder (Schmitzer 2019) from max(eps, 1)
+    down by factors of ten to `cfg.epsilon`, warm-starting each level from
+    the last one's potentials; a cold start at very small epsilon can lock
+    onto an infeasible support. Levels above the target stop at
+    `COARSE_TOL`. If the target level's plain updates hand off before the
+    marginals converge, Newton refinement of the dual potentials finishes
+    the solve. `cfg.max_iters` caps the plain iterations of all levels.
     """
     cfg.validate()
     cost = _check_cost(cost)
     n = cost.shape[0]
-    log_r = -np.log(n)
-    log_kernel = -cost / cfg.epsilon
-    log_u = np.zeros((n, 1))
-    log_v = np.zeros((1, n))
-    # Column log-sum-exps for the next v-update; after a u-update they
-    # also give the plan's column sums, exp(log_v + lse_cols), while its
-    # rows are exact.
-    lse_cols = _lse(log_kernel + log_u, axis=0)
-    history: list[float] = []
-    violation = np.inf
+    levels = []
+    eps = max(cfg.epsilon, 1.0)
+    while eps > cfg.epsilon:
+        levels.append(eps)
+        eps /= 10.0
+    # potentials f = eps * log_u live in cost units, so they carry across levels
+    f = np.zeros((n, 1))
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        log_v = log_r - lse_cols
-        log_u = log_r - _lse(log_kernel + log_v, axis=1)
-        lse_cols = _lse(log_kernel + log_u, axis=0)
-        violation = float(np.max(np.abs(np.exp(log_v + lse_cols) - 1.0 / n)))
-        if violation <= cfg.marginal_tol:
-            break
-        history.append(violation)
-        if len(history) > STALL_WINDOW and violation > 0.5 * history[-1 - STALL_WINDOW]:
-            break
+    for eps in levels + [cfg.epsilon]:
+        tol = COARSE_TOL if eps > cfg.epsilon else cfg.marginal_tol
+        log_kernel = -cost / eps
+        log_u, log_v, violation, used = _plain(
+            log_kernel, f / eps, tol, cfg.max_iters - iters
+        )
+        iters += used
+        f = eps * log_u
     if violation > cfg.marginal_tol:
         log_u, log_v, steps = _newton_polish(
             log_kernel, log_u, log_v, cfg.marginal_tol
         )
         iters += steps
-        violation = _violation(log_kernel, log_u, log_v)
-    if violation > cfg.marginal_tol:
-        log_u, log_v, extra = _anneal(
-            cost, cfg.epsilon, max(50, cfg.max_iters // 4)
-        )
-        log_u, log_v, steps = _newton_polish(
-            log_kernel, log_u, log_v, cfg.marginal_tol
-        )
-        iters += extra + steps
         violation = _violation(log_kernel, log_u, log_v)
     plan = np.exp(log_u + log_kernel + log_v)
     return TransportPlan(

@@ -26,6 +26,17 @@ from .errors import (
 # Floor for normalization denominators; inputs below it are rejected.
 EPS_NORM = 1e-12
 
+
+def row_norms(rows: np.ndarray, name: str = "embedding") -> np.ndarray:
+    """L2 norm of each row of a 2-D array. Raises DegenerateInputError
+    naming the first row whose norm is NaN, infinite or <= EPS_NORM."""
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
+    if bad.size:
+        raise DegenerateInputError(f"{name} {int(bad[0])} has norm {norms[bad[0]]:.3e}")
+    return norms
+
+
 # Cap on |d/dx arccos(x)| near x = +-1, where the true derivative diverges.
 _ARCCOS_GRAD_FLOOR = 1e-12
 
@@ -101,9 +112,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- introspection --------------------------------------------------
 

@@ -310,6 +310,22 @@ def test_rank1_tie_prefers_lowest_gallery_index():
                                 gallery, np.array([7, 8])) == 1.0
 
 
+def test_rank1_rejects_zero_gallery_row():
+    emb = np.random.default_rng(8).normal(size=(4, 3))
+    gallery = emb.copy()
+    gallery[1] = 0.0
+    with pytest.raises(DegenerateInputError, match="gallery embedding 1"):
+        rank1_identification(emb, np.arange(4), gallery, np.arange(4))
+
+
+def test_rank1_rejects_nan_probe_row():
+    emb = np.random.default_rng(9).normal(size=(4, 3))
+    probes = emb.copy()
+    probes[2, 0] = np.nan
+    with pytest.raises(DegenerateInputError, match="probe embedding 2"):
+        rank1_identification(probes, np.arange(4), emb, np.arange(4))
+
+
 def test_make_pairs_balanced_folds():
     labels = np.repeat(np.arange(4), 5)
     pairs = make_pairs(labels, pairs_per_fold=6, num_folds=5, seed=3)

@@ -25,6 +25,13 @@ def random_cost(rng, n):
     return rng.uniform(0.0, 2.0, size=(n, n))
 
 
+def criterion_1_cost(seed):
+    """The cost matrix acceptance criterion 1 draws for `seed`."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return rng.random((n, n))
+
+
 def test_sinkhorn_single_atom():
     plan = sinkhorn_log_domain(np.array([[0.7]]), SinkhornConfig(epsilon=0.3))
     assert np.allclose(plan.plan, [[1.0]])
@@ -268,9 +275,7 @@ def test_stalled_cold_start_hands_off_before_budget_is_spent():
     cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12)
     stalled = 0
     for seed in range(40):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        cost = rng.random((n, n))
+        cost = criterion_1_cost(seed)
         if _plain_log_sinkhorn_violation(cost, cfg.epsilon, cfg.max_iters) <= 1e-12:
             continue
         stalled += 1
@@ -283,20 +288,57 @@ def test_stalled_cold_start_hands_off_before_budget_is_spent():
 def test_locked_support_still_runs_the_epsilon_ladder(monkeypatch):
     from otface import ot
 
-    laddered = []
-    real_anneal = ot._anneal
+    levels = []
+    real_plain = ot._plain
 
-    def spy(cost, *args, **kwargs):
-        laddered.append(cost.shape)
-        return real_anneal(cost, *args, **kwargs)
+    def spy(log_kernel, log_u, tol, budget):
+        levels.append((log_kernel, tol))
+        return real_plain(log_kernel, log_u, tol, budget)
 
-    monkeypatch.setattr(ot, "_anneal", spy)
+    monkeypatch.setattr(ot, "_plain", spy)
     cfg = SinkhornConfig(epsilon=0.005, max_iters=500, marginal_tol=1e-12)
     for seed in (129, 140, 165):  # criterion-1 seeds with a locked support
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        cost = rng.random((n, n))
+        cost = criterion_1_cost(seed)
+        levels.clear()
         plan = sinkhorn_log_domain(cost, cfg)
         assert plan.converged and plan.marginal_violation <= 1e-12, seed
         assert plan.value >= exact_ot_uniform(cost) - 1e-12, seed
-    assert laddered
+        ladder = (1.0, 0.1, 0.01, 0.005)
+        assert len(levels) == len(ladder), seed
+        for (log_kernel, _), eps in zip(levels, ladder):
+            assert np.allclose(log_kernel, -cost / eps), (seed, eps)
+        assert [tol for _, tol in levels] == [ot.COARSE_TOL] * 3 + [1e-12], seed
+
+
+def test_slowly_contracting_solves_hand_off_before_budget_is_spent():
+    # criterion-1 problems whose violation keeps halving within the stall
+    # window, but too slowly to reach the tolerance in 500 iterations
+    for seed, eps in ((4, 0.05), (61, 0.05), (78, 0.05), (113, 0.05),
+                      (130, 0.01), (148, 0.05), (165, 0.005), (197, 0.05)):
+        cost = criterion_1_cost(seed)
+        cfg = SinkhornConfig(epsilon=eps, max_iters=500, marginal_tol=1e-12)
+        assert _plain_log_sinkhorn_violation(cost, eps, cfg.max_iters) > 1e-12
+        plan = sinkhorn_log_domain(cost, cfg)
+        assert plan.converged and plan.marginal_violation <= 1e-12, (seed, eps)
+        assert plan.iterations_used < cfg.max_iters, (seed, eps, plan.iterations_used)
+
+
+def test_newton_never_spends_its_whole_step_budget(monkeypatch):
+    from otface import ot
+
+    steps_taken = []
+    real_newton = ot._newton_polish
+
+    def spy(*args, **kwargs):
+        log_u, log_v, steps = real_newton(*args, **kwargs)
+        steps_taken.append(steps)
+        return log_u, log_v, steps
+
+    monkeypatch.setattr(ot, "_newton_polish", spy)
+    for seed in range(200):  # the criterion-1 problems
+        cost = criterion_1_cost(seed)
+        for eps in (0.05, 0.01, 0.005):
+            plan = sinkhorn_log_domain(cost, SinkhornConfig(
+                epsilon=eps, max_iters=500, marginal_tol=1e-12))
+            assert plan.converged, (seed, eps)
+    assert steps_taken and max(steps_taken) < 50
