@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigurationError,
@@ -28,12 +29,14 @@ EPS_NORM = 1e-12
 
 
 def row_norms(rows: np.ndarray, name: str = "embedding") -> np.ndarray:
-    """L2 norm of each row of a 2-D array. Raises DegenerateInputError
-    naming the first row whose norm is NaN, infinite or <= EPS_NORM."""
-    norms = np.linalg.norm(rows, axis=1)
-    bad = np.nonzero(~(np.isfinite(norms) & (norms > EPS_NORM)))[0]
+    """L2 norm of every vector along the last axis. Raises
+    DegenerateInputError naming the index of the first one whose norm is
+    NaN, infinite or <= EPS_NORM."""
+    norms = np.linalg.norm(rows, axis=-1)
+    bad = np.argwhere(~(np.isfinite(norms) & (norms > EPS_NORM)))
     if bad.size:
-        raise DegenerateInputError(f"{name} {int(bad[0])} has norm {norms[bad[0]]:.3e}")
+        where = ", ".join(str(int(i)) for i in bad[0])
+        raise DegenerateInputError(f"{name} {where} has norm {norms[tuple(bad[0])]:.3e}")
     return norms
 
 
@@ -376,28 +379,27 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
             out_h: int, out_w: int) -> np.ndarray:
+    """Columns (c*kh*kw, n*out_h*out_w) of a padded (n, c, h, w) input,
+    copied once from a strided view."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[
-                :, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride
-            ]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
+    sn, sc, sh, sw = xp.strides
+    windows = as_strided(xp, (c, kh, kw, n, out_h, out_w),
+                         (sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
+    return windows.reshape(c * kh * kw, n * out_h * out_w)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
             stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
+    """Sum `_im2col`-shaped columns back onto the (n, c, h, w) input: one
+    strided add per kernel offset, always in the same (i, j) order."""
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    cols = cols.reshape(c, kh, kw, n, out_h, out_w).transpose(1, 2, 3, 0, 4, 5)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] \
-                += cols[:, :, i, j]
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
+                += cols[i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -405,7 +407,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
     `x` is (c_in, h, w) or batched (n, c_in, h, w); `kernels` is
     (c_out, c_in, kh, kw). Output spatial extent is
-    (h + 2*padding - kh)/stride + 1, which must be integral.
+    (h + 2*padding - kh)/stride + 1, which must be integral. The forward
+    pass and both gradients are each one 2-D GEMM against the im2col
+    columns, with the batch in the column dimension.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
@@ -425,13 +429,13 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     out_h = _conv_out_extent(h, kh, stride, padding)
     out_w = _conv_out_extent(w, kw, stride, padding)
 
+    xp = xd
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = xd
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (n, ci*kh*kw, oh*ow)
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:-padding, padding:-padding] = xd
+    cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (ci*kh*kw, n*oh*ow)
     wmat = kernels.data.reshape(c_out, -1)
-    out_data = np.matmul(wmat, cols).reshape(n, c_out, out_h, out_w)
+    out_data = (wmat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
     if squeeze:
         out_data = out_data[0]
 
@@ -440,13 +444,11 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         def _bw(g):
             if squeeze:
                 g = g[None]
-            g_flat = g.reshape(n, c_out, out_h * out_w)
+            g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * out_h * out_w)
             if kernels.requires_grad:
-                gw = np.einsum("nop,ncp->oc", g_flat, cols).reshape(kernels.data.shape)
-                kernels._accum(gw)
+                kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
             if x.requires_grad:
-                gcols = np.matmul(wmat.T, g_flat)
-                gx = _col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding,
+                gx = _col2im(wmat.T @ g2, (n, c_in, h, w), kh, kw, stride, padding,
                              out_h, out_w)
                 x._accum(gx[0] if squeeze else gx)
         out._backward = _bw
@@ -461,19 +463,12 @@ def normalize_rows(m: Tensor) -> Tensor:
     """L2-normalize each row of a 2-D tensor, or of every matrix in a
     stack (the vectors along the last axis)."""
     m = as_tensor(m)
-    norms = np.linalg.norm(m.data, axis=-1)
-    bad = np.argwhere(norms <= EPS_NORM)
-    if bad.size:
-        where = ", ".join(str(int(i)) for i in bad[0])
-        raise DegenerateInputError(f"row {where} has norm {norms[tuple(bad[0])]:.3e}")
+    row_norms(m.data, "row")
     return m / (m * m).sum(axis=-1, keepdims=True).sqrt()
 
 
 def normalize_cols(m: Tensor) -> Tensor:
     """L2-normalize each column of a 2-D tensor."""
     m = as_tensor(m)
-    norms = np.linalg.norm(m.data, axis=0)
-    bad = np.nonzero(norms <= EPS_NORM)[0]
-    if bad.size:
-        raise DegenerateInputError(f"column {int(bad[0])} has norm {norms[bad[0]]:.3e}")
+    row_norms(m.data.T, "column")
     return m / (m * m).sum(axis=0, keepdims=True).sqrt()

@@ -9,6 +9,7 @@ from otface import (
     init_params,
     to_distribution,
 )
+from otface.backbone import embed
 
 from conftest import numeric_grad, rel_err
 
@@ -53,6 +54,19 @@ def test_forward_is_deterministic():
         params = init_params(cfg, np.random.default_rng(7))
         runs.append(forward(Tensor(image), params, cfg).embedding.data)
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_embed_does_not_depend_on_chunk_size():
+    # the batch shares the conv GEMMs' column dimension; chunking must not
+    # couple samples
+    cfg = BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
+                         embedding_dim=32, tap_stage=2)
+    params = init_params(cfg, np.random.default_rng(14))
+    images = np.random.default_rng(15).normal(size=(40, 1, 16, 16))
+    small = embed(images, params, cfg, batch_size=7)
+    whole = embed(images, params, cfg, batch_size=256)
+    assert small.shape == (40, 32)
+    assert np.max(np.abs(small - whole)) < 1e-12
 
 
 def test_embedding_invariant_to_projection_rescaling():

@@ -160,6 +160,80 @@ def test_conv2d_gradients_match_finite_differences():
                x0, tol=1e-4)
     check_grad(lambda t: (conv2d(Tensor(x0), t, stride=1, padding=0) ** 2.0).sum(),
                k0, tol=1e-4)
+    # batched, multi-channel, with the overlapping 4x4 stride-2 windows
+    x0 = rng.normal(size=(2, 3, 6, 6))
+    k0 = rng.normal(size=(4, 3, 4, 4))
+    check_grad(lambda t: (conv2d(t, Tensor(k0), stride=2, padding=1) ** 2.0).sum(),
+               x0, tol=1e-6)
+    check_grad(lambda t: (conv2d(Tensor(x0), t, stride=2, padding=1) ** 2.0).sum(),
+               k0, tol=1e-6)
+
+
+def _conv2d_reference(x, k, stride, padding, g):
+    """Direct loop over (n, c_out, y, x): the conv output, and the input and
+    kernel gradients of sum(output * g)."""
+    n, _, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, c_out, (h + 2 * padding - kh) // stride + 1,
+                    (w + 2 * padding - kw) // stride + 1))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for b in range(n):
+        for o in range(c_out):
+            for y in range(out.shape[2]):
+                for x_ in range(out.shape[3]):
+                    rows = slice(y * stride, y * stride + kh)
+                    cols = slice(x_ * stride, x_ * stride + kw)
+                    out[b, o, y, x_] = np.sum(xp[b, :, rows, cols] * k[o])
+                    gxp[b, :, rows, cols] += g[b, o, y, x_] * k[o]
+                    gk[o] += g[b, o, y, x_] * xp[b, :, rows, cols]
+    return out, gxp[:, :, padding:padding + h, padding:padding + w], gk
+
+
+# the backbone's stage shapes: (c_in, c_out, extent, kernel, stride, padding)
+@pytest.mark.parametrize("c_in,c_out,extent,k,stride,padding", [
+    (1, 8, 16, 3, 1, 1),
+    (8, 16, 16, 4, 2, 1),
+    (16, 16, 8, 4, 2, 1),
+])
+def test_conv2d_batched_matches_nested_loop_reference(c_in, c_out, extent, k,
+                                                      stride, padding):
+    rng = np.random.default_rng(c_in)
+    x0 = rng.normal(size=(3, c_in, extent, extent))
+    k0 = rng.normal(size=(c_out, c_in, k, k))
+    x = Tensor(x0, requires_grad=True)
+    kernels = Tensor(k0, requires_grad=True)
+    out = conv2d(x, kernels, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_gx, ref_gk = _conv2d_reference(x0, k0, stride, padding, g)
+    assert out.shape == ref_out.shape
+    assert rel_err(out.data, ref_out) < 1e-12
+    assert rel_err(x.grad, ref_gx) < 1e-12
+    assert rel_err(kernels.grad, ref_gk) < 1e-12
+
+
+def test_conv2d_kernel_shared_by_two_calls_accumulates_both_gradients():
+    rng = np.random.default_rng(13)
+    x1 = Tensor(rng.normal(size=(2, 3, 6, 6)))
+    x2 = Tensor(rng.normal(size=(3, 3, 5, 5)))
+    k0 = rng.normal(size=(2, 3, 4, 4))
+
+    def first(t):
+        return (conv2d(x1, t, stride=2, padding=1) ** 2.0).sum()
+
+    def second(t):
+        return (conv2d(x2, t, stride=1, padding=0) ** 2.0).sum()
+
+    both = Tensor(k0, requires_grad=True)
+    (first(both) + second(both)).backward()
+    grads = []
+    for f in (first, second):
+        alone = Tensor(k0, requires_grad=True)
+        f(alone).backward()
+        grads.append(alone.grad)
+    assert rel_err(both.grad, grads[0] + grads[1]) < 1e-12
 
 
 def test_l2_normalize_345_triangle():
@@ -189,6 +263,12 @@ def test_normalize_rows_and_cols_report_offending_index():
         normalize_rows(Tensor(m))
     with pytest.raises(DegenerateInputError, match="column 0"):
         normalize_cols(Tensor(np.zeros((2, 2))))
+    # the Tensor constructor rejects non-finite data; op outputs can hold it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateInputError, match="row 0"):
+            normalize_rows(Tensor._make(np.array([[bad, 1.0], [1.0, 2.0]]), ()))
+        with pytest.raises(DegenerateInputError, match="column 1"):
+            normalize_cols(Tensor._make(np.array([[1.0, 2.0], [1.0, bad]]), ()))
 
 
 def test_log_rejects_nonpositive():
