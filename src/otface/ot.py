@@ -4,8 +4,9 @@ Both marginals are 1/n, the Gibbs kernel is K = exp(-C/epsilon) and the
 Sinkhorn fixed point alternates v <- (1/n) / (K^T u), u <- (1/n) / (K v).
 The one solver, `sinkhorn_log_domain`, iterates on log u and log v, so it
 survives small epsilon. An exact permutation-enumeration oracle covers
-n <= 8, and `ot_distance` unrolls a fixed iteration budget on the
-autodiff tape so gradients flow into both input distributions.
+n <= 8. `ot_distance` runs a fixed budget of kernel-domain iterations as
+one autodiff tape node whose backward pass sweeps the stored iterates in
+reverse, so gradients flow into both input distributions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class SinkhornConfig:
     marginal_tol: float = 1e-6
     # Only the log-domain solver exists; False is rejected.
     log_domain: bool = True
-    # Fixed iteration budget for the differentiable (unrolled) path.
+    # Fixed iteration budget of the differentiable `ot_distance`.
     unroll_iters: int = 50
     # Subtract epsilon * H(P) from the reported ot_distance value.
     include_entropy: bool = False
@@ -234,16 +235,85 @@ def exact_ot_uniform(cost: np.ndarray) -> float:
     return best / n
 
 
+def _unrolled_sinkhorn(cost: Tensor, cfg: SinkhornConfig) -> Tensor:
+    """One tape node from an (n, n) or (B, n, n) cost to the () or (B,)
+    values of `cfg.unroll_iters` Sinkhorn updates from u = 1.
+
+    The forward pass keeps every iterate; the backward pass sweeps them in
+    reverse with vector updates only, then forms the kernel gradient as
+    two GEMMs over the iteration axis.
+    """
+    c = cost.data
+    eps, iters, entropic = cfg.epsilon, cfg.unroll_iters, cfg.include_entropy
+    kernel = np.exp(-c * (1.0 / eps))
+    if np.any(kernel.sum(axis=-1) == 0.0) or np.any(kernel.sum(axis=-2) == 0.0):
+        raise NumericalRegimeError(
+            f"Gibbs kernel underflows at epsilon={eps}; "
+            "increase epsilon for the differentiable path"
+        )
+    r = 1.0 / c.shape[-1]
+    kernel_t = kernel.mT
+    # u[t] is the u of iteration t (u[0] = 1); v, K^T u and K v of
+    # iteration t + 1 sit at index t
+    u = np.empty((iters + 1,) + c.shape[:-1] + (1,))
+    u[0] = 1.0
+    v, ktu, kv = (np.empty_like(u[1:]) for _ in range(3))
+    for t in range(iters):
+        np.matmul(kernel_t, u[t], out=ktu[t])
+        if not ktu[t].all():
+            raise NumericalRegimeError("unrolled Sinkhorn underflowed; increase epsilon")
+        np.divide(r, ktu[t], out=v[t])
+        np.matmul(kernel, v[t], out=kv[t])
+        if not kv[t].all():
+            raise NumericalRegimeError("unrolled Sinkhorn underflowed; increase epsilon")
+        np.divide(r, kv[t], out=u[t + 1])
+    plan = u[-1] * kernel * v[-1].mT
+    value = (c * plan).sum(axis=(-2, -1))
+    if entropic:
+        # H(P) = -sum P (log P - 1); tiny floor keeps log finite at P ~ 0.
+        safe_plan = plan + 1e-300
+        log_plan = np.log(safe_plan)
+        entropy = -(plan * (log_plan - 1.0)).sum(axis=(-2, -1))
+        value = value - eps * entropy
+    out = Tensor._make(value, (cost,))
+    if out.requires_grad:
+        def _bw(g):
+            g = g[..., None, None]
+            g_plan = g * c
+            if entropic:
+                g_plan = g_plan + g * eps * ((log_plan - 1.0) + plan / safe_plan)
+            g_pk = g_plan * kernel
+            gu = g_pk @ v[-1]
+            gv = g_pk.mT @ u[-1]
+            g_kv, g_ktu = np.empty_like(kv), np.empty_like(ktu)
+            for t in reversed(range(iters)):
+                g_kv[t] = -gu * u[t + 1] / kv[t]
+                gv = gv + kernel_t @ g_kv[t]
+                g_ktu[t] = -gv * v[t] / ktu[t]
+                gu = kernel @ g_ktu[t]
+                gv = 0.0
+            g_kernel = (g_plan * (u[-1] * v[-1].mT)
+                        + _sum_outer(g_kv, v) + _sum_outer(u[:-1], g_ktu))
+            cost._accum(g * plan - g_kernel * kernel / eps)
+        out._backward = _bw
+    return out
+
+
+def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_t a[t] b[t]^T over (T, ..., n, 1) stacks, as one batched GEMM."""
+    return np.moveaxis(a[..., 0], 0, -1) @ np.moveaxis(b[..., 0], 0, -2)
+
+
 def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     """Differentiable entropic OT between n x d feature distributions.
 
     Takes one pair of (n, d) distributions and returns a scalar, or two
-    (B, n, d) stacks and returns the B pairwise values; every pair gets
-    the same arithmetic, so a stack of B pairs is one graph, not B.
-    Unrolls cfg.unroll_iters Sinkhorn updates on the tape, so the gradient
-    flows into both inputs through the cost matrix and the iterates.
-    Returns the transport cost <C, P>; with cfg.include_entropy also
-    subtracts epsilon * H(P).
+    (B, n, d) stacks and returns the B pairwise values. The cosine cost is
+    built on the tape; the cfg.unroll_iters Sinkhorn updates on top of it
+    are one node with a hand-written reverse sweep, so the gradient flows
+    into both inputs through the cost matrix and the iterates, and the
+    tape does not grow with the iteration count. Returns the transport
+    cost <C, P>; with cfg.include_entropy also subtracts epsilon * H(P).
     """
     cfg.validate()
     m1 = as_tensor(m1)
@@ -253,37 +323,5 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
             f"distributions must share an n x d or B x n x d shape, "
             f"got {m1.shape} and {m2.shape}"
         )
-    n = m1.shape[-2]
-    r1 = normalize_rows(m1)
-    r2 = normalize_rows(m2)
-    cost = (1.0 - r1 @ r2.mT).clip(0.0, 2.0)
-    kernel = (-cost * (1.0 / cfg.epsilon)).exp()
-    if np.any(kernel.data.sum(axis=-1) == 0.0) or np.any(kernel.data.sum(axis=-2) == 0.0):
-        raise NumericalRegimeError(
-            f"Gibbs kernel underflows at epsilon={cfg.epsilon}; "
-            "increase epsilon for the differentiable path"
-        )
-    r = 1.0 / n
-    kernel_t = kernel.mT
-    u = Tensor(np.ones(m1.shape[:-1] + (1,)))
-    for _ in range(cfg.unroll_iters):
-        ktu = kernel_t @ u
-        if np.any(ktu.data == 0.0):
-            raise NumericalRegimeError(
-                "unrolled Sinkhorn underflowed; increase epsilon"
-            )
-        v = r / ktu
-        kv = kernel @ v
-        if np.any(kv.data == 0.0):
-            raise NumericalRegimeError(
-                "unrolled Sinkhorn underflowed; increase epsilon"
-            )
-        u = r / kv
-    plan = u * kernel * v.mT
-    value = (cost * plan).sum(axis=(-2, -1))
-    if cfg.include_entropy:
-        # H(P) = -sum P (log P - 1); tiny floor keeps log finite at P ~ 0.
-        safe_plan = plan + 1e-300
-        entropy = -(plan * (safe_plan.log() - 1.0)).sum(axis=(-2, -1))
-        value = value - cfg.epsilon * entropy
-    return value
+    cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
+    return _unrolled_sinkhorn(cost, cfg)

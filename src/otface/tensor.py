@@ -55,7 +55,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable-by-convention dense array plus a node in the autodiff graph."""
+    """Immutable-by-convention dense array plus a node in the autodiff graph.
+
+    `.grad` holds the array a backward pass gave it, not a copy, so it may
+    share memory with other gradients; it must not be updated in place.
+    Accumulation always builds a new array.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
@@ -83,7 +88,7 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 
@@ -93,8 +98,8 @@ class Tensor:
             raise ContractError(
                 f"backward root must be scalar, got shape {self.data.shape}"
             )
-        # Iterative postorder; recursion depth would otherwise track the
-        # number of unrolled Sinkhorn iterations.
+        # Iterative postorder, so a deep graph cannot hit the recursion
+        # limit.
         order: list[Tensor] = []
         visited = {id(self)}
         stack: list[tuple[Tensor, int]] = [(self, 0)]
@@ -122,10 +127,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -145,8 +146,6 @@ class Tensor:
                     other._accum(_unbroadcast(g, other.data.shape))
             out._backward = _bw
         return out
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         out = Tensor._make(-self.data, (self,))
@@ -172,8 +171,6 @@ class Tensor:
             out._backward = _bw
         return out
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = Tensor._make(self.data / other.data, (self, other))
@@ -184,18 +181,6 @@ class Tensor:
                 if other.requires_grad:
                     g_other = -g * self.data / (other.data * other.data)
                     other._accum(_unbroadcast(g_other, other.data.shape))
-            out._backward = _bw
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        exponent = float(exponent)
-        out = Tensor._make(self.data ** exponent, (self,))
-        if out.requires_grad:
-            def _bw(g):
-                self._accum(g * exponent * self.data ** (exponent - 1.0))
             out._backward = _bw
         return out
 

@@ -6,9 +6,11 @@ import pytest
 from otface import (
     ConfigurationError,
     ContractError,
+    NumericalRegimeError,
     SinkhornConfig,
     Tensor,
     exact_ot_uniform,
+    normalize_rows,
     ot_distance,
     sinkhorn_log_domain,
 )
@@ -241,6 +243,87 @@ def test_ot_distance_rejects_mismatched_stacks():
         ot_distance(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((3, 3, 2))), cfg)
     with pytest.raises(ContractError):
         ot_distance(Tensor(np.ones((1, 2, 3, 2))), Tensor(np.ones((1, 2, 3, 2))), cfg)
+
+
+def _tape_unroll(m1, m2, cfg):
+    """`ot_distance` as it was built before the unroll became one node:
+    every Sinkhorn update recorded op by op on the tape."""
+    n = m1.shape[-2]
+    cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
+    kernel = (-cost * (1.0 / cfg.epsilon)).exp()
+    r = Tensor(1.0 / n)
+    kernel_t = kernel.mT
+    u = Tensor(np.ones(m1.shape[:-1] + (1,)))
+    for _ in range(cfg.unroll_iters):
+        v = r / (kernel_t @ u)
+        u = r / (kernel @ v)
+    plan = u * kernel * v.mT
+    value = (cost * plan).sum(axis=(-2, -1))
+    if cfg.include_entropy:
+        entropy = -(plan * ((plan + 1e-300).log() - 1.0)).sum(axis=(-2, -1))
+        value = value - entropy * cfg.epsilon
+    return value
+
+
+def _value_and_grads(distance, a, b, cfg, weights):
+    t1, t2 = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    value = distance(t1, t2, cfg)
+    (value * Tensor(weights)).sum().backward()
+    return value.data, t1.grad, t2.grad
+
+
+@pytest.mark.parametrize("include_entropy", [False, True])
+@pytest.mark.parametrize("unroll_iters", [1, 10, 50])
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_ot_distance_node_matches_tape_unroll(epsilon, unroll_iters, include_entropy):
+    cfg = SinkhornConfig(epsilon=epsilon, unroll_iters=unroll_iters,
+                         include_entropy=include_entropy)
+    rng = np.random.default_rng(18)
+    for shape in ((4, 3), (6, 5, 4), (3, 16, 16)):
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        repeated = a.copy()
+        repeated[..., 1, :] = repeated[..., 0, :]
+        weights = rng.uniform(0.5, 1.5, size=shape[:-2])
+        for m1, m2 in ((a, b), (repeated, b), (b, repeated)):
+            value, g1, g2 = _value_and_grads(ot_distance, m1, m2, cfg, weights)
+            ref_value, ref_g1, ref_g2 = _value_and_grads(_tape_unroll, m1, m2, cfg,
+                                                         weights)
+            assert value.shape == shape[:-2]
+            assert np.array_equal(value, ref_value)
+            assert rel_err(g1, ref_g1) < 1e-12
+            assert rel_err(g2, ref_g2) < 1e-12
+
+
+def _tape_edges(root):
+    """Number of `_prev` edges among the nodes reachable from `root`."""
+    seen, todo, edges = {id(root)}, [root], 0
+    while todo:
+        node = todo.pop()
+        edges += len(node._prev)
+        for child in node._prev:
+            if id(child) not in seen:
+                seen.add(id(child))
+                todo.append(child)
+    return edges
+
+
+def test_ot_distance_tape_does_not_grow_with_iterations():
+    rng = np.random.default_rng(19)
+    m1 = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+    m2 = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+    sizes = [_tape_edges(ot_distance(m1, m2, SinkhornConfig(epsilon=0.1,
+                                                            unroll_iters=iters)))
+             for iters in (5, 50)]
+    assert sizes[0] == sizes[1]
+
+
+def test_ot_distance_gibbs_underflow_is_a_numerical_regime_error():
+    # rows of m1 are orthogonal to every row of m2, so every cost is 1 and
+    # exp(-1 / 1e-4) underflows to 0 across the whole kernel
+    eye = np.eye(4)
+    m1, m2 = Tensor(eye[:2], requires_grad=True), Tensor(eye[2:])
+    with pytest.raises(NumericalRegimeError, match="Gibbs kernel underflows"):
+        ot_distance(m1, m2, SinkhornConfig(epsilon=1e-4))
 
 
 def test_oracle_sandwich_monotone_in_epsilon():

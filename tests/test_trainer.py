@@ -206,3 +206,35 @@ def test_training_step_tape_is_freed_by_reference_counting(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_step_gradients_equal_those_of_a_copying_accumulator(tmp_path, monkeypatch):
+    # `_accum` keeps the first gradient a tensor receives without copying
+    # it; the step's gradients must be those of a copy-on-accumulate tape
+    images, labels = _dataset(tmp_path, 0.7, "d")
+    trainer = _trainer(images, labels)
+    params = trainer.state.params
+
+    def step_gradients():
+        for p in params.values():
+            p.zero_grad()
+        out = forward(Tensor(images), params, trainer.backbone_cfg)
+        loss = otface_loss(
+            LabeledBatch(out.embedding.data, labels), out.embedding,
+            to_distributions(out.feature_maps), trainer.classifier,
+            trainer.margin_cfg, trainer.sinkhorn_cfg, hinge_margin=0.1)
+        assert loss.num_hard_groups > 0
+        loss.total.backward()
+        return {k: p.grad for k, p in params.items()}
+
+    shared = step_gradients()
+
+    def copying_accum(self, g):
+        g = np.array(g, dtype=np.float64)
+        self.grad = g if self.grad is None else self.grad + g
+
+    monkeypatch.setattr(Tensor, "_accum", copying_accum)
+    copied = step_gradients()
+    assert shared.keys() == copied.keys()
+    for name, grad in shared.items():
+        assert np.array_equal(grad, copied[name]), name
