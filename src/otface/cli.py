@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg_mod
-from .backbone import embed, init_params
+from .backbone import BackboneConfig, embed, init_params
 from .data import (
     DatasetManifest,
     atomic_write_text,
@@ -23,9 +23,10 @@ from .data import (
 )
 from .errors import ConfigurationError, OTFaceError
 from .evaluation import kfold_accuracy, make_pairs, pair_scores, tar_at_far
+from .losses import MarginConfig
 from .mining import LabeledBatch, mine_hard_groups
 from .ot import SinkhornConfig, sinkhorn_log_domain
-from .trainer import Trainer
+from .trainer import TrainConfig, Trainer
 
 METRICS_COLUMNS = ("epoch", "margin_loss", "ot_loss", "total", "hard_groups", "lr")
 
@@ -42,7 +43,7 @@ def _write_metrics_csv(path: Path, history: list[dict]) -> None:
 
 def _build_trainer(cfg: dict, manifest: DatasetManifest) -> Trainer:
     images, labels = load_dataset(manifest, split="train")
-    bb = cfg_mod.backbone_config(cfg)
+    bb = cfg_mod.build_config(BackboneConfig, cfg["backbone"])
     if (manifest.image_shape[0] != bb.in_channels
             or manifest.image_shape[1] != bb.input_size):
         raise ConfigurationError(
@@ -50,8 +51,9 @@ def _build_trainer(cfg: dict, manifest: DatasetManifest) -> Trainer:
             f"({bb.in_channels}, {bb.input_size}, {bb.input_size})"
         )
     return Trainer(
-        images, labels, bb, cfg_mod.margin_config(cfg),
-        cfg_mod.sinkhorn_config(cfg), cfg_mod.train_config(cfg),
+        images, labels, bb, cfg_mod.build_config(MarginConfig, cfg["margin"]),
+        cfg_mod.build_config(SinkhornConfig, cfg["sinkhorn"]),
+        cfg_mod.build_config(TrainConfig, cfg["trainer"]),
         mining_enabled=cfg["mining"]["enabled"],
         cap_per_anchor=cfg["mining"]["cap_per_anchor"],
         hinge_margin=cfg["loss"]["hinge_margin"],
@@ -74,11 +76,13 @@ def cmd_train(args) -> int:
     cfg = cfg_mod.load_config(args.config, args.set)
     if cfg["data"]["manifest"] is None:
         raise ConfigurationError("data.manifest must point to a dataset directory")
+    every = cfg["trainer"]["checkpoint_every"]
+    if every < 0:
+        raise ConfigurationError(f"trainer.checkpoint_every must be >= 0, got {every}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest.load(Path(cfg["data"]["manifest"]))
     trainer = _build_trainer(cfg, manifest)
-    every = cfg["trainer"]["checkpoint_every"]
     for _ in range(trainer.train_cfg.epochs):
         metrics = trainer.train_epoch()
         print("epoch {epoch}: margin={margin_loss:.4f} ot={ot_loss:.4f} "
@@ -124,7 +128,7 @@ def cmd_eval(args) -> int:
     images, labels = load_dataset(manifest, split=split)
 
     params, _, _, _ = load_checkpoint(Path(args.checkpoint))
-    bb = cfg_mod.backbone_config(cfg)
+    bb = cfg_mod.build_config(BackboneConfig, cfg["backbone"])
     _check_params(Path(args.checkpoint), params, bb)
     embeddings = embed(images, params, bb)
 

@@ -1,8 +1,12 @@
-"""Run configuration: a nested key-value document with typo-safe loading."""
+"""Run configuration: a nested key-value document with typo-safe loading.
+
+Most sections take their keys and defaults from the config dataclasses.
+"""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -13,103 +17,95 @@ from .losses import MarginConfig
 from .ot import SinkhornConfig
 from .trainer import TrainConfig
 
+
+def _section(cls, names=None) -> dict:
+    """The defaults of `cls`'s fields (or of those in `names`), tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if names is None or f.name in names}
+
+
 DEFAULTS: dict = {
-    "data": {
-        "manifest": None,          # dataset directory containing manifest.json
-    },
-    "backbone": {
-        "input_size": 32,
-        "in_channels": 1,
-        "stage_channels": [16, 32, 64, 128],
-        "embedding_dim": 64,
-        "tap_stage": 2,
-        "kernel_size": 3,
-    },
-    "margin": {
-        "variant": "additive_cosine",
-        "scale": 30.0,
-        "margin": 0.35,
-    },
-    "sinkhorn": {
-        "epsilon": 0.02,
-        "unroll_iters": 50,
-        "include_entropy": False,
-    },
-    "trainer": {
-        "batch_size": 64,
-        "epochs": 24,
-        "lr": 0.1,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "lr_milestones": [10, 18, 22],
-        "sampler": "class_balanced",
-        "sampler_p": 8,
-        "sampler_k": 4,
-        "seed": 0,
-        "checkpoint_every": 0,     # 0 = only at the end
-    },
-    "mining": {
-        "enabled": True,
-        "cap_per_anchor": None,
-    },
-    "loss": {
-        "hinge_margin": 0.0,
-        "lambda_ot": 1.0,
-    },
-    "eval": {
-        "folds": 10,
-        "pairs_per_fold": 30,
-        "far_targets": [1e-1, 1e-2],
-        "pair_seed": 0,
-    },
+    "data": {"manifest": None},  # dataset directory containing manifest.json
+    "backbone": _section(BackboneConfig),
+    "margin": _section(MarginConfig),
+    # the other solver knobs reach only `otface ot solve`, never training
+    "sinkhorn": _section(SinkhornConfig, ("epsilon", "unroll_iters", "include_entropy")),
+    "trainer": {**_section(TrainConfig), "checkpoint_every": 0},  # 0 = only at the end
+    "mining": {"enabled": True, "cap_per_anchor": None},
+    "loss": {"hinge_margin": 0.0, "lambda_ot": 1.0},
+    "eval": {"folds": 10, "pairs_per_fold": 30, "far_targets": [1e-1, 1e-2],
+             "pair_seed": 0},
 }
 
+# The type of the keys whose default is None; None stays allowed for them.
+_OPTIONAL = {"data.manifest": str, "mining.cap_per_anchor": int}
 
-def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in overrides.items():
+_BOOLS = {"true": True, "yes": True, "false": False, "no": False}
+
+
+def _is(value, kind: type) -> bool:
+    """isinstance, except that bools are only bools and floats take ints."""
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _typed(path: str, value, default):
+    """`value` if it has the type of `default`, lists element by element (an int
+    for a float key becomes a float); else a ConfigurationError naming `path`."""
+    if value is None and path in _OPTIONAL:
+        return None
+    kind = _OPTIONAL.get(path, type(default))
+    item = type(default[0]) if kind is list else None
+    if not _is(value, kind) or item and not all(_is(v, item) for v in value):
+        want = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise ConfigurationError(f"config key {path!r} must be {want}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _merge(cfg: dict, doc: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None:
+    """Lay `doc` over `cfg` in place, checking keys and types against `defaults`."""
+    for key, value in doc.items():
         path = f"{prefix}{key}"
         if key not in defaults:
             raise ConfigurationError(f"unknown config key {path!r}")
-        if isinstance(defaults[key], dict) and not isinstance(value, dict):
-            raise ConfigurationError(f"config key {path!r} must be a section")
         if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, prefix=path + ".")
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"config key {path!r} must be a section")
+            _merge(cfg[key], value, defaults[key], path + ".")
         else:
-            merged[key] = value
-    return merged
+            cfg[key] = _typed(path, value, defaults[key])
 
 
-def _coerce(raw: str, default):
-    """Parse a --set value string against the default's type."""
+def _parse_set(item: str) -> dict:
+    """`a.b=v` as `{"a": {"b": v}}`. `v` is null/none, the raw string for a
+    str key, true/yes/false/no, or else a JSON value."""
+    key_path, eq, raw = item.partition("=")
+    if not eq:
+        raise ConfigurationError(f"--set expects key.path=value, got {item!r}")
+    section, _, leaf = key_path.partition(".")
+    kind = _OPTIONAL.get(key_path, type(DEFAULTS.get(section, {}).get(leaf)))
     if raw.lower() in ("null", "none"):
-        return None
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, list):
-        return json.loads(raw)
-    if default is None:
-        # untyped slot: try JSON, fall back to the raw string
+        value = None
+    elif kind is str:
+        value = raw
+    elif raw.lower() in _BOOLS:
+        value = _BOOLS[raw.lower()]
+    else:
         try:
-            return json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            return raw
-    return raw
+            raise ConfigurationError(
+                f"--set {key_path}: {raw!r} is not a JSON value") from None
+    return {section: {leaf: value}}
 
 
 def load_config(path: Path | None = None,
                 overrides: list[str] | None = None) -> dict:
     """Defaults, deep-merged with an optional JSON file and then
-    `key.path=value` override strings. Unknown keys are rejected with the
-    offending key path; OTFACE_SEED (env) overrides trainer.seed last."""
+    `key.path=value` override strings. Unknown keys and mistyped values
+    are rejected with the offending key path; OTFACE_SEED (env)
+    overrides trainer.seed last."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -122,24 +118,9 @@ def load_config(path: Path | None = None,
             ) from None
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
-        cfg = _merge(cfg, doc)
+        _merge(cfg, doc)
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects key.path=value, got {item!r}")
-        key_path, raw = item.split("=", 1)
-        keys = key_path.split(".")
-        node = cfg
-        default_node = DEFAULTS
-        for k in keys[:-1]:
-            if not isinstance(default_node, dict) or k not in default_node:
-                raise ConfigurationError(f"unknown config key {key_path!r}")
-            node = node[k]
-            default_node = default_node[k]
-        leaf = keys[-1]
-        if not isinstance(default_node, dict) or leaf not in default_node \
-                or isinstance(default_node[leaf], dict):
-            raise ConfigurationError(f"unknown config key {key_path!r}")
-        node[leaf] = _coerce(raw, default_node[leaf])
+        _merge(cfg, _parse_set(item))
     env_seed = os.environ.get("OTFACE_SEED")
     if env_seed is not None:
         try:
@@ -151,37 +132,8 @@ def load_config(path: Path | None = None,
     return cfg
 
 
-def backbone_config(cfg: dict) -> BackboneConfig:
-    c = cfg["backbone"]
-    return BackboneConfig(
-        input_size=c["input_size"],
-        in_channels=c["in_channels"],
-        stage_channels=tuple(c["stage_channels"]),
-        embedding_dim=c["embedding_dim"],
-        tap_stage=c["tap_stage"],
-        kernel_size=c["kernel_size"],
-    ).validate()
-
-
-def margin_config(cfg: dict) -> MarginConfig:
-    c = cfg["margin"]
-    return MarginConfig(variant=c["variant"], scale=c["scale"],
-                        margin=c["margin"]).validate()
-
-
-def sinkhorn_config(cfg: dict) -> SinkhornConfig:
-    c = cfg["sinkhorn"]
-    return SinkhornConfig(
-        epsilon=c["epsilon"], unroll_iters=c["unroll_iters"],
-        include_entropy=c["include_entropy"],
-    ).validate()
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    c = cfg["trainer"]
-    return TrainConfig(
-        batch_size=c["batch_size"], epochs=c["epochs"], lr=c["lr"],
-        momentum=c["momentum"], weight_decay=c["weight_decay"],
-        lr_milestones=tuple(c["lr_milestones"]), sampler=c["sampler"],
-        sampler_p=c["sampler_p"], sampler_k=c["sampler_k"], seed=c["seed"],
-    ).validate()
+def build_config(cls, section: dict):
+    """A validated `cls` from the fields it has in `section`, lists as tuples."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in section.items() if k in names}).validate()

@@ -71,26 +71,15 @@ class LossBreakdown:
     num_hard_groups: int
 
 
-def _as_batch(embeddings: Tensor) -> Tensor:
-    e = as_tensor(embeddings)
-    if len(e.shape) == 1:
-        e = e.reshape(1, -1)
-    if len(e.shape) != 2:
-        raise ContractError(f"embeddings must be (N, d) or (d,), got {e.shape}")
-    return e
-
-
 def margin_logits(embeddings: Tensor, weights: ClassifierWeights,
                   labels, cfg: MarginConfig) -> Tensor:
-    """Scaled cosine logits with the target class penalized per variant.
-
-    Accepts a single embedding with an int label or an (N, d) batch with
-    an (N,) label array; returns logits of matching arity.
-    """
+    """Scaled (N, C) cosine logits of an (N, d) batch with (N,) labels, the
+    target class penalized per variant."""
     cfg.validate()
-    single = len(as_tensor(embeddings).shape) == 1
-    e = _as_batch(embeddings)
-    labels_arr = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    e = as_tensor(embeddings)
+    if len(e.shape) != 2:
+        raise ContractError(f"embeddings must be (N, d), got {e.shape}")
+    labels_arr = np.asarray(labels, dtype=np.intp)
     if labels_arr.shape != (e.shape[0],):
         raise ContractError(
             f"expected {e.shape[0]} labels, got shape {labels_arr.shape}"
@@ -109,17 +98,16 @@ def margin_logits(embeddings: Tensor, weights: ClassifierWeights,
     else:  # additive_angular
         target = (cosine.arccos() + cfg.margin).cos()
         adjusted = cosine * (1.0 - onehot) + target * onehot
-    logits = adjusted * cfg.scale
-    return logits.reshape(-1) if single else logits
+    return adjusted * cfg.scale
 
 
 def per_sample_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """-log softmax(logits)[label] per row, via stabilized log-sum-exp."""
-    single = len(as_tensor(logits).shape) == 1
+    """-log softmax(logits)[label] per row of (N, C) logits, via stabilized
+    log-sum-exp."""
     l = as_tensor(logits)
-    if single:
-        l = l.reshape(1, -1)
-    labels_arr = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    if len(l.shape) != 2:
+        raise ContractError(f"logits must be (N, C), got {l.shape}")
+    labels_arr = np.asarray(labels, dtype=np.intp)
     if labels_arr.shape != (l.shape[0],):
         raise ContractError(
             f"expected {l.shape[0]} labels, got shape {labels_arr.shape}"
@@ -133,7 +121,7 @@ def per_sample_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, label) -> Tensor:
-    """Mean cross entropy; a scalar for both single rows and batches."""
+    """Mean cross entropy over the rows, a scalar."""
     return per_sample_cross_entropy(logits, label).mean()
 
 

@@ -17,7 +17,7 @@ from .tensor import Tensor
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
+    batch_size: int = 32
     epochs: int = 24
     lr: float = 0.1
     momentum: float = 0.9
@@ -46,6 +46,10 @@ class TrainConfig:
             self.sampler_p < 2 or self.sampler_k < 1
         ):
             raise ConfigurationError("class_balanced sampler needs P >= 2, K >= 1")
+        pk = self.sampler_p * self.sampler_k
+        if self.sampler == "class_balanced" and self.batch_size != pk:
+            raise ConfigurationError(f"batch_size {self.batch_size} must equal "
+                                     f"sampler_p * sampler_k = {pk} (class_balanced)")
         return self
 
 
@@ -120,6 +124,12 @@ class Trainer:
                  hinge_margin: float = 0.0, lambda_ot: float = 1.0):
         if images.shape[0] == 0:
             raise ContractError("dataset must be nonempty")
+        if hinge_margin < 0.0:
+            raise ConfigurationError(
+                f"loss.hinge_margin must be nonnegative, got {hinge_margin}")
+        if cap_per_anchor is not None and cap_per_anchor <= 0:
+            raise ConfigurationError(
+                f"mining.cap_per_anchor must be positive, got {cap_per_anchor}")
         self.images = np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(labels)
         self.backbone_cfg = backbone_cfg.validate()

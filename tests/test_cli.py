@@ -230,6 +230,36 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     assert "trainer.epohcs" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    ({"mining": {"enabled": "no"}}, [], "mining.enabled"),
+    ({"sinkhorn": {"include_entropy": "false"}}, [], "sinkhorn.include_entropy"),
+    ({"trainer": {"epochs": "3"}}, [], "trainer.epochs"),
+    ({"backbone": {"stage_channels": 16}}, [], "backbone.stage_channels"),
+    ({}, ["trainer.epochs=abc"], "trainer.epochs"),
+    ({}, ["trainer.lr_milestones=[1"], "trainer.lr_milestones"),
+    ({}, ["trainer.checkpoint_every=-1"], "trainer.checkpoint_every"),
+    ({}, ["trainer.batch_size=64"], "batch_size"),
+    ({}, ["mining.enabled=false", "loss.hinge_margin=-1"], "loss.hinge_margin"),
+    ({}, ["mining.enabled=false", "mining.cap_per_anchor=0"], "mining.cap_per_anchor"),
+]
+
+
+@pytest.mark.parametrize("doc,sets,key", BAD_VALUES, ids=[
+    ("file-" if doc else "set-") + key for doc, _, key in BAD_VALUES])
+def test_train_rejects_bad_config_values_naming_the_key(tmp_path, capsys, doc, sets, key):
+    data = gen_dataset(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("train", "--out", str(tmp_path / "run"), "--config", str(path),
+                   "--set", f"data.manifest={data}", "--set", "trainer.epochs=1",
+                   "--set", "trainer.lr_milestones=[]", *TINY_TRAIN_ARGS,
+                   *[arg for item in sets for arg in ("--set", item)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_train_without_manifest_exits_nonzero(tmp_path, capsys):
     assert run_cli("train", "--out", str(tmp_path / "x")) == 2
     assert "data.manifest" in capsys.readouterr().err

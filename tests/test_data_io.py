@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -8,11 +9,14 @@ from otface import (
     BackboneConfig,
     ConfigurationError,
     LabeledBatch,
+    MarginConfig,
+    SinkhornConfig,
     Tensor,
+    TrainConfig,
     forward,
     init_params,
 )
-from otface.config import DEFAULTS, load_config
+from otface.config import DEFAULTS, build_config, load_config
 from otface.data import (
     DatasetManifest,
     atomic_write_text,
@@ -213,3 +217,118 @@ def test_config_malformed_json_reports_line(tmp_path):
     doc.write_text("{\n  broken\n}")
     with pytest.raises(ConfigurationError, match="line 2"):
         load_config(doc)
+
+
+def _leaves(doc=DEFAULTS, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAVES = dict(_leaves())
+
+
+def _wrong_value(key, default):
+    """A value of the wrong type for `key`, as a JSON document holds it."""
+    if key == "data.manifest":
+        return 5
+    if isinstance(default, str):
+        return None
+    if isinstance(default, list):
+        return [str(v) for v in default]
+    return str(3 if default is None else default)
+
+
+def _nested(key, value):
+    section, leaf = key.split(".")
+    return {section: {leaf: value}}
+
+
+@pytest.mark.parametrize("key", LEAVES)
+def test_every_key_rejects_a_wrong_type_from_a_file(tmp_path, key):
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps(_nested(key, _wrong_value(key, LEAVES[key]))))
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        load_config(doc)
+
+
+# data.manifest takes any --set string as a path, and null
+@pytest.mark.parametrize("key", [k for k in LEAVES if k != "data.manifest"])
+def test_every_key_rejects_a_wrong_type_from_set(key):
+    wrong = _wrong_value(key, LEAVES[key])
+    item = f"{key}={'null' if wrong is None else json.dumps(wrong)}"
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        load_config(None, [item])
+
+
+@pytest.mark.parametrize("item,key", [
+    ("mining.enabled=1", "mining.enabled"),
+    ("trainer.epochs=3.0", "trainer.epochs"),
+    ("trainer.epochs=true", "trainer.epochs"),
+    ("margin.scale=false", "margin.scale"),
+    ("trainer.lr_milestones=[1.5]", "trainer.lr_milestones"),
+    ("eval.far_targets=[true]", "eval.far_targets"),
+    ("trainer.seed=null", "trainer.seed"),
+    ("trainer.epochs=abc", "trainer.epochs"),
+    ("trainer.lr_milestones=[1", "trainer.lr_milestones"),
+])
+def test_config_type_rules(item, key):
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(None, [item])
+
+
+def test_config_floats_take_ints_and_optional_keys_take_null():
+    cfg = load_config(None, ["margin.scale=8", "eval.far_targets=[1, 0.1]",
+                             "mining.enabled=No", "mining.cap_per_anchor=2",
+                             "mining.cap_per_anchor=none", "data.manifest=123"])
+    assert cfg["margin"]["scale"] == 8.0 and isinstance(cfg["margin"]["scale"], float)
+    assert cfg["eval"]["far_targets"] == [1, 0.1]
+    assert cfg["mining"] == {"enabled": False, "cap_per_anchor": None}
+    assert cfg["data"]["manifest"] == "123"
+
+
+SECTION_CLASSES = {"backbone": BackboneConfig, "margin": MarginConfig,
+                   "sinkhorn": SinkhornConfig, "trainer": TrainConfig}
+
+CHANGED = {
+    "backbone.input_size": 64, "backbone.in_channels": 3,
+    "backbone.stage_channels": [8, 16, 24], "backbone.embedding_dim": 32,
+    "backbone.tap_stage": 1, "backbone.kernel_size": 5,
+    "margin.variant": "additive_angular", "margin.scale": 16.0,
+    "margin.margin": 0.5,
+    "sinkhorn.epsilon": 0.1, "sinkhorn.unroll_iters": 15,
+    "sinkhorn.include_entropy": True,
+    "trainer.batch_size": 12, "trainer.epochs": 30, "trainer.lr": 0.05,
+    "trainer.momentum": 0.5, "trainer.weight_decay": 1e-3,
+    "trainer.lr_milestones": [5, 20], "trainer.sampler": "uniform_random",
+    "trainer.sampler_p": 3, "trainer.sampler_k": 2, "trainer.seed": 7,
+}
+
+
+@pytest.mark.parametrize("source", ["file", "set"])
+def test_changed_values_reach_the_built_dataclasses(tmp_path, source):
+    backed = {f"{section}.{f.name}" for section, cls in SECTION_CLASSES.items()
+              for f in dataclasses.fields(cls) if f.name in DEFAULTS[section]}
+    assert set(CHANGED) == backed
+    assert all(CHANGED[key] != LEAVES[key] for key in CHANGED)
+    if source == "file":
+        doc = {}
+        for key, value in CHANGED.items():
+            section, leaf = key.split(".")
+            doc.setdefault(section, {})[leaf] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path)
+    else:
+        cfg = load_config(None, [
+            f"{key}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in CHANGED.items()])
+    for section, cls in SECTION_CLASSES.items():
+        built = build_config(cls, cfg[section])
+        for key, value in CHANGED.items():
+            if key.startswith(section + "."):
+                field = key.split(".")[1]
+                want = tuple(value) if isinstance(value, list) else value
+                assert getattr(built, field) == want, key

@@ -49,19 +49,19 @@ def test_classifier_columns_normalize_to_unit():
 
 def test_cosine_margin_target_logit_arithmetic():
     w = axis_weights(4, 3)
-    emb = Tensor([1.0, 0.0, 0.0, 0.0])  # cos with class 0 is exactly 1
+    emb = Tensor([[1.0, 0.0, 0.0, 0.0]])  # cos with class 0 is exactly 1
     cfg = MarginConfig(variant="additive_cosine", scale=30.0, margin=0.35)
-    logits = margin_logits(emb, w, 0, cfg)
-    assert logits.data[0] == pytest.approx(30.0 * (1.0 - 0.35))  # 19.5
-    assert logits.data[1] == pytest.approx(0.0)
+    logits = margin_logits(emb, w, [0], cfg)
+    assert logits.data[0, 0] == pytest.approx(30.0 * (1.0 - 0.35))  # 19.5
+    assert logits.data[0, 1] == pytest.approx(0.0)
 
 
 def test_angular_margin_target_logit_arithmetic():
     w = axis_weights(4, 3)
-    emb = Tensor([1.0, 0.0, 0.0, 0.0])  # theta_y = 0
+    emb = Tensor([[1.0, 0.0, 0.0, 0.0]])  # theta_y = 0
     cfg = MarginConfig(variant="additive_angular", scale=1.0, margin=0.5)
-    logits = margin_logits(emb, w, 0, cfg)
-    assert logits.data[0] == pytest.approx(math.cos(0.5))
+    logits = margin_logits(emb, w, [0], cfg)
+    assert logits.data[0, 0] == pytest.approx(math.cos(0.5))
 
 
 def test_zero_margin_collapses_all_variants():
@@ -97,13 +97,13 @@ def test_margin_only_shrinks_target_logit():
 def test_margin_logits_rejects_bad_labels():
     w = axis_weights(4, 3)
     with pytest.raises(ContractError):
-        margin_logits(Tensor([1.0, 0.0, 0.0, 0.0]), w, 3, MarginConfig())
+        margin_logits(Tensor([[1.0, 0.0, 0.0, 0.0]]), w, [3], MarginConfig())
 
 
 def test_cross_entropy_saturated_and_uniform():
-    assert cross_entropy(Tensor([1000.0, 0.0, 0.0]), 0).item() == pytest.approx(0.0)
+    assert cross_entropy(Tensor([[1000.0, 0.0, 0.0]]), [0]).item() == pytest.approx(0.0)
     k = 7
-    assert cross_entropy(Tensor(np.zeros(k)), 2).item() == pytest.approx(math.log(k))
+    assert cross_entropy(Tensor(np.zeros((1, k))), [2]).item() == pytest.approx(math.log(k))
 
 
 def test_cross_entropy_matches_naive_softmax():

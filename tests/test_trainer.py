@@ -106,6 +106,11 @@ def test_train_config_validation():
         TrainConfig(lr_milestones=(12,), epochs=10).validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(sampler="bogus").validate()
+    # a class_balanced batch is sampler_p * sampler_k samples
+    with pytest.raises(ConfigurationError, match="batch_size"):
+        TrainConfig(batch_size=64, sampler_p=2, sampler_k=2).validate()
+    TrainConfig(batch_size=64, sampler="uniform_random", sampler_p=2,
+                sampler_k=2).validate()
 
 
 def _trainer(images, labels, seed=0, **kwargs):
