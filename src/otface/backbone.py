@@ -94,14 +94,10 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Tens
 
 def forward(images: Tensor, params: dict[str, Tensor],
             cfg: BackboneConfig) -> ForwardOutput:
-    """Run the conv+relu stages, capture the tap, pool and project.
-
-    Accepts (c, H, W) or batched (N, c, H, W) images.
-    """
+    """Run the conv+relu stages on (N, c, H, W) images, capture the tap,
+    pool and project."""
     cfg.validate()
     x = as_tensor(images)
-    if len(x.shape) == 3:
-        x = x.reshape(1, *x.shape)
     if len(x.shape) != 4 or x.shape[1] != cfg.in_channels \
             or x.shape[2] != cfg.input_size or x.shape[3] != cfg.input_size:
         raise ConfigurationError(
@@ -133,7 +129,7 @@ def to_distribution(feature_maps: Tensor) -> Tensor:
             f"expected a (d, h, w) feature-map stack, got {fm.shape}"
         )
     d, h, w = fm.shape
-    return fm.reshape(d, h * w).T
+    return fm.reshape(d, h * w).mT
 
 
 def to_distributions(feature_maps: Tensor) -> Tensor:

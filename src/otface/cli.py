@@ -118,6 +118,17 @@ def _check_params(path: Path, params: dict, bb) -> None:
 
 def cmd_eval(args) -> int:
     cfg = cfg_mod.load_config(args.config, args.set)
+    for key in (item.partition("=")[0] for item in args.set):
+        if key.partition(".")[0] not in ("data", "backbone", "eval"):
+            raise ConfigurationError(f"otface eval does not read config key {key!r}")
+    ev = cfg["eval"]
+    for key, ok, rule in (
+            ("folds", ev["folds"] >= 2, ">= 2"),
+            ("pairs_per_fold", ev["pairs_per_fold"] >= 1, ">= 1"),
+            ("pair_seed", ev["pair_seed"] >= 0, ">= 0"),
+            ("far_targets", all(0 < f <= 1 for f in ev["far_targets"]), "in (0, 1]")):
+        if not ok:
+            raise ConfigurationError(f"eval.{key} must be {rule}, got {ev[key]!r}")
     manifest_dir = args.manifest or cfg["data"]["manifest"]
     if manifest_dir is None:
         raise ConfigurationError("provide --manifest or set data.manifest")
@@ -132,7 +143,6 @@ def cmd_eval(args) -> int:
     _check_params(Path(args.checkpoint), params, bb)
     embeddings = embed(images, params, bb)
 
-    ev = cfg["eval"]
     pairs = make_pairs(labels, ev["pairs_per_fold"], ev["folds"], ev["pair_seed"])
     scores = pair_scores(embeddings, pairs)
     report = kfold_accuracy(pairs, scores, k=ev["folds"])

@@ -208,12 +208,6 @@ class Tensor:
         return out
 
     @property
-    def T(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeMismatchError(f"T expects a 2-D tensor, got {self.data.shape}")
-        return self.mT
-
-    @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
         if self.data.ndim < 2:
@@ -390,22 +384,19 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Strided cross-correlation of `x` with `kernels`.
 
-    `x` is (c_in, h, w) or batched (n, c_in, h, w); `kernels` is
-    (c_out, c_in, kh, kw). Output spatial extent is
-    (h + 2*padding - kh)/stride + 1, which must be integral. The forward
-    pass and both gradients are each one 2-D GEMM against the im2col
-    columns, with the batch in the column dimension.
+    `x` is (n, c_in, h, w) and `kernels` is (c_out, c_in, kh, kw). Output
+    spatial extent is (h + 2*padding - kh)/stride + 1, which must be
+    integral. The forward pass and both gradients are each one 2-D GEMM
+    against the im2col columns, with the batch in the column dimension.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernels.data.ndim != 4:
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeMismatchError(
             f"conv2d expects (n,c,h,w) input and (co,ci,kh,kw) kernels, "
             f"got {x.data.shape} and {kernels.data.shape}"
         )
-    n, c_in, h, w = xd.shape
+    n, c_in, h, w = x.data.shape
     c_out, c_in_k, kh, kw = kernels.data.shape
     if c_in != c_in_k:
         raise ShapeMismatchError(
@@ -414,28 +405,24 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     out_h = _conv_out_extent(h, kh, stride, padding)
     out_w = _conv_out_extent(w, kw, stride, padding)
 
-    xp = xd
+    xp = x.data
     if padding:
         xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:-padding, padding:-padding] = xd
+        xp[:, :, padding:-padding, padding:-padding] = x.data
     cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (ci*kh*kw, n*oh*ow)
     wmat = kernels.data.reshape(c_out, -1)
     out_data = (wmat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-    if squeeze:
-        out_data = out_data[0]
 
     out = Tensor._make(out_data, (x, kernels))
     if out.requires_grad:
         def _bw(g):
-            if squeeze:
-                g = g[None]
             g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * out_h * out_w)
             if kernels.requires_grad:
                 kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
             if x.requires_grad:
                 gx = _col2im(wmat.T @ g2, (n, c_in, h, w), kh, kw, stride, padding,
                              out_h, out_w)
-                x._accum(gx[0] if squeeze else gx)
+                x._accum(gx)
         out._backward = _bw
     return out
 

@@ -40,16 +40,14 @@ class TrainConfig:
             raise ConfigurationError(
                 f"lr_milestones must be strictly increasing and < epochs, got {ms}"
             )
-        if self.sampler not in ("uniform_random", "class_balanced"):
+        if self.sampler != "class_balanced":
             raise ConfigurationError(f"unknown sampler {self.sampler!r}")
-        if self.sampler == "class_balanced" and (
-            self.sampler_p < 2 or self.sampler_k < 1
-        ):
+        if self.sampler_p < 2 or self.sampler_k < 1:
             raise ConfigurationError("class_balanced sampler needs P >= 2, K >= 1")
         pk = self.sampler_p * self.sampler_k
-        if self.sampler == "class_balanced" and self.batch_size != pk:
+        if self.batch_size != pk:
             raise ConfigurationError(f"batch_size {self.batch_size} must equal "
-                                     f"sampler_p * sampler_k = {pk} (class_balanced)")
+                                     f"sampler_p * sampler_k = {pk}")
         return self
 
 
@@ -90,13 +88,6 @@ def sgd_step(state: TrainState, gradients: dict[str, np.ndarray], lr: float,
     state.step += 1
 
 
-def _uniform_batches(labels: np.ndarray, batch_size: int,
-                     rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(labels.shape[0])
-    chunks = [perm[i:i + batch_size] for i in range(0, perm.shape[0], batch_size)]
-    return [c for c in chunks if c.shape[0] >= 2]
-
-
 def _class_balanced_batches(labels: np.ndarray, p: int, k: int,
                             rng: np.random.Generator) -> list[np.ndarray]:
     classes = np.unique(labels)
@@ -104,7 +95,7 @@ def _class_balanced_batches(labels: np.ndarray, p: int, k: int,
     steps = max(1, math.ceil(labels.shape[0] / (p * k)))
     batches = []
     for _ in range(steps):
-        chosen = rng.choice(classes, size=min(p, classes.shape[0]), replace=False)
+        chosen = rng.choice(classes, size=p, replace=False)
         idx = []
         for c in chosen:
             pool = by_class[c]
@@ -124,9 +115,9 @@ class Trainer:
                  hinge_margin: float = 0.0, lambda_ot: float = 1.0):
         if images.shape[0] == 0:
             raise ContractError("dataset must be nonempty")
-        if hinge_margin < 0.0:
-            raise ConfigurationError(
-                f"loss.hinge_margin must be nonnegative, got {hinge_margin}")
+        for key, value in (("hinge_margin", hinge_margin), ("lambda_ot", lambda_ot)):
+            if value < 0.0:
+                raise ConfigurationError(f"loss.{key} must be nonnegative, got {value}")
         if cap_per_anchor is not None and cap_per_anchor <= 0:
             raise ConfigurationError(
                 f"mining.cap_per_anchor must be positive, got {cap_per_anchor}")
@@ -136,6 +127,10 @@ class Trainer:
         self.margin_cfg = margin_cfg.validate()
         self.sinkhorn_cfg = sinkhorn_cfg.validate()
         self.train_cfg = train_cfg.validate()
+        classes = np.unique(self.labels).shape[0]
+        if train_cfg.sampler_p > classes:
+            raise ConfigurationError(f"trainer.sampler_p {train_cfg.sampler_p} exceeds "
+                                     f"the {classes} classes of the training set")
         self.mining_enabled = mining_enabled
         self.cap_per_anchor = cap_per_anchor
         self.hinge_margin = hinge_margin
@@ -154,14 +149,6 @@ class Trainer:
             rng=rng,
         )
 
-    def _batches(self) -> list[np.ndarray]:
-        cfg = self.train_cfg
-        if cfg.sampler == "uniform_random":
-            return _uniform_batches(self.labels, cfg.batch_size, self.state.rng)
-        return _class_balanced_batches(
-            self.labels, cfg.sampler_p, cfg.sampler_k, self.state.rng
-        )
-
     def _loss_for_batch(self, idx: np.ndarray) -> LossBreakdown:
         out = forward(Tensor(self.images[idx]), self.state.params, self.backbone_cfg)
         batch = LabeledBatch(out.embedding.data, self.labels[idx])
@@ -177,7 +164,10 @@ class Trainer:
         lr = lr_at(self.state.epoch, self.train_cfg)
         margin_losses, ot_losses = [], []
         hard_groups = 0
-        for batch_no, idx in enumerate(self._batches()):
+        cfg = self.train_cfg
+        batches = _class_balanced_batches(self.labels, cfg.sampler_p, cfg.sampler_k,
+                                          self.state.rng)
+        for batch_no, idx in enumerate(batches):
             breakdown = self._loss_for_batch(idx)
             for term, value in (("margin", breakdown.margin_loss.item()),
                                 ("ot", breakdown.ot_loss.item()),

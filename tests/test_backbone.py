@@ -87,6 +87,8 @@ def test_forward_rejects_wrong_spatial_size():
     params = init_params(cfg, np.random.default_rng(5))
     with pytest.raises(ConfigurationError):
         forward(Tensor(np.zeros((1, 1, 9, 9))), params, cfg)
+    with pytest.raises(ConfigurationError, match=r"\(N, 1, 8, 8\)"):
+        forward(Tensor(np.zeros((1, 8, 8))), params, cfg)
 
 
 def test_config_validation():

@@ -175,6 +175,43 @@ def test_eval_with_matching_checkpoint_reports_its_embeddings(tmp_path):
     assert doc["mean_accuracy"] == report.mean_accuracy
 
 
+BAD_EVAL_SETS = [
+    (["trainer.epochs=7"], "trainer.epochs"),
+    (["mining.enabled=false"], "mining.enabled"),
+    (["eval.folds=1"], "eval.folds"),
+    (["eval.pairs_per_fold=-1"], "eval.pairs_per_fold"),
+    (["eval.pairs_per_fold=0"], "eval.pairs_per_fold"),
+    (["eval.pair_seed=-1"], "eval.pair_seed"),
+    (["eval.far_targets=[2.0,-0.1]"], "eval.far_targets"),
+    (["eval.far_targets=[0.1,0]"], "eval.far_targets"),
+]
+
+
+@pytest.mark.parametrize("sets,key", BAD_EVAL_SETS,
+                         ids=[sets[0] for sets, _ in BAD_EVAL_SETS])
+def test_eval_rejects_bad_or_unread_keys_naming_the_key(tmp_path, capsys, sets, key):
+    data = gen_dataset(tmp_path, classes=3, per_class=6, holdout=4)
+    path, _, _ = tiny_checkpoint(tmp_path)
+    assert run_cli("eval", "--checkpoint", str(path), "--manifest", str(data),
+                   "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS,
+                   *[arg for item in sets for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_eval_accepts_the_config_file_that_train_writes(tmp_path):
+    # config.json holds every section, not only those eval reads
+    data = gen_dataset(tmp_path, classes=3, per_class=6, holdout=4)
+    out = train_run(tmp_path, data, "run")
+    assert run_cli("eval", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--config", str(out / "config.json"), "--out",
+                   str(tmp_path / "report"), "--set", "eval.folds=3",
+                   "--set", "eval.pairs_per_fold=4") == 0
+    doc = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert len(doc["fold_accuracies"]) == 3
+
+
 def test_ot_solve_two_atom_case(tmp_path, capsys):
     cost = tmp_path / "cost.csv"
     cost.write_text("0,1\n1,0\n")
@@ -241,6 +278,7 @@ BAD_VALUES = [
     ({}, ["trainer.batch_size=64"], "batch_size"),
     ({}, ["mining.enabled=false", "loss.hinge_margin=-1"], "loss.hinge_margin"),
     ({}, ["mining.enabled=false", "mining.cap_per_anchor=0"], "mining.cap_per_anchor"),
+    ({}, ["loss.lambda_ot=-5"], "loss.lambda_ot"),
 ]
 
 

@@ -222,6 +222,27 @@ def test_otface_single_class_batch_has_zero_ot():
     assert breakdown.ot_loss.item() == 0.0
 
 
+def test_otface_loss_mines_through_the_module_attribute(monkeypatch):
+    # benchmarks pin the groups by replacing `losses.mine_hard_groups`; a
+    # miner called any other way would leave them unpinned
+    rng = np.random.default_rng(12)
+    batch, emb = _toy_batch(rng, [0, 0, 1, 1, 0, 1])
+    dists = {i: Tensor(rng.normal(size=(4, 3))) for i in range(6)}
+    weights = ClassifierWeights.init_random(6, 2, rng)
+    calls = []
+
+    def pinned(*args, **kwargs):
+        calls.append(args)
+        return [HardGroup(0, 4, 2)]
+
+    monkeypatch.setattr(losses_mod, "mine_hard_groups", pinned)
+    breakdown = otface_loss(batch, emb, dists, weights, MarginConfig(),
+                            SinkhornConfig(epsilon=0.1, unroll_iters=20),
+                            hinge_margin=0.2, cap_per_anchor=3)
+    assert calls == [(batch, 3)]
+    assert breakdown.num_hard_groups == 1
+
+
 def test_otface_breakdown_invariants_and_lambda():
     rng = np.random.default_rng(12)
     batch, emb = _toy_batch(rng, [0, 0, 1, 1, 0, 1])

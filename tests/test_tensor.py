@@ -107,7 +107,7 @@ _OP_CASES = {
     "clip": lambda t, c: (t * 0.3).clip(-0.5, 0.5).sum(),
     "arccos": lambda t, c: (t * 0.5).arccos().sum(),
     "reshape": lambda t, c: (t.reshape(-1) * t.reshape(-1)).sum(),
-    "transpose": lambda t, c: (t.T @ c).sum(),
+    "transpose": lambda t, c: (t.mT @ c).sum(),
     "gather": lambda t, c: (t.gather([2, 0, 2]) * 3.0).sum(),
     "mean": lambda t, c: (t * t).mean(),
     "sum_axis": lambda t, c: (t.sum(axis=1) * t.sum(axis=0)).sum(),
@@ -134,29 +134,34 @@ def _sum_sq(t):
 
 
 def test_conv2d_ones_with_scalar_kernel():
-    out = conv2d(Tensor(np.ones((1, 3, 3))), Tensor([[[[2.0]]]]))
-    assert out.shape == (1, 3, 3)
-    assert np.array_equal(out.data, np.full((1, 3, 3), 2.0))
+    out = conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor([[[[2.0]]]]))
+    assert out.shape == (1, 1, 3, 3)
+    assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
 
 def test_conv2d_impulse_response_of_averaging_kernel():
-    image = np.zeros((1, 5, 5))
-    image[0, 2, 2] = 1.0
+    image = np.zeros((1, 1, 5, 5))
+    image[0, 0, 2, 2] = 1.0
     kernel = np.full((1, 1, 3, 3), 1.0 / 9.0)
     out = conv2d(Tensor(image), Tensor(kernel), stride=1, padding=1)
-    expected = np.zeros((1, 5, 5))
-    expected[0, 1:4, 1:4] = 1.0 / 9.0
+    expected = np.zeros((1, 1, 5, 5))
+    expected[0, 0, 1:4, 1:4] = 1.0 / 9.0
     assert np.allclose(out.data, expected)
 
 
 def test_conv2d_channel_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+    with pytest.raises(ShapeMismatchError, match="channel mismatch"):
+        conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+
+
+def test_conv2d_rejects_an_unbatched_image():
+    with pytest.raises(ShapeMismatchError, match=r"\(n,c,h,w\)"):
+        conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
 
 def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    x0 = rng.normal(size=(1, 5, 5))
+    x0 = rng.normal(size=(1, 1, 5, 5))
     k0 = rng.normal(size=(2, 1, 3, 3))
     check_grad(lambda t: _sum_sq(conv2d(t, Tensor(k0), stride=2, padding=1)),
                x0, tol=1e-4)

@@ -106,11 +106,12 @@ def test_train_config_validation():
         TrainConfig(lr_milestones=(12,), epochs=10).validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(sampler="bogus").validate()
+    # every batch is P classes x K samples; there is no other sampler
+    with pytest.raises(ConfigurationError, match="uniform_random"):
+        TrainConfig(sampler="uniform_random").validate()
     # a class_balanced batch is sampler_p * sampler_k samples
     with pytest.raises(ConfigurationError, match="batch_size"):
         TrainConfig(batch_size=64, sampler_p=2, sampler_k=2).validate()
-    TrainConfig(batch_size=64, sampler="uniform_random", sampler_p=2,
-                sampler_k=2).validate()
 
 
 def _trainer(images, labels, seed=0, **kwargs):
@@ -141,13 +142,13 @@ def test_total_is_margin_plus_ot(tmp_path):
         assert row["hard_groups"] >= 0
 
 
-def test_one_class_dataset_has_zero_ot_loss():
+def test_sampler_p_above_the_class_count_is_rejected():
+    # P=2 classes per batch cannot be drawn from a one-class dataset
     rng = np.random.default_rng(0)
     images = rng.normal(size=(8, 1, 8, 8))
     labels = np.zeros(8, dtype=int)
-    for row in _trainer(images, labels).run():
-        assert row["ot_loss"] == 0.0
-        assert row["hard_groups"] == 0
+    with pytest.raises(ConfigurationError, match=r"sampler_p 2 exceeds the 1 classes"):
+        _trainer(images, labels)
 
 
 def test_zero_hardness_mining_degrades_to_margin_only(tmp_path):
@@ -158,16 +159,6 @@ def test_zero_hardness_mining_degrades_to_margin_only(tmp_path):
     plain = _trainer(images, labels, mining_enabled=False).run()
     assert mined == plain
     assert all(row["hard_groups"] == 0 for row in mined)
-
-
-def test_uniform_sampler_runs(tmp_path):
-    images, labels = _dataset(tmp_path, 0.5, "d")
-    trainer = Trainer(images, labels, tiny_backbone(), MarginConfig(scale=8.0),
-                      SinkhornConfig(epsilon=0.1, unroll_iters=10),
-                      tiny_train_cfg(sampler="uniform_random", epochs=1,
-                                     lr_milestones=()))
-    history = trainer.run()
-    assert len(history) == 1
 
 
 def test_embed_shape_and_norm(tmp_path):
