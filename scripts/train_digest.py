@@ -1,0 +1,63 @@
+"""Train acceptance criterion 6's with-OT configuration and print a digest.
+
+Prints each epoch's metrics row, formatted as `metrics.csv` formats it,
+then the SHA-256 of every parameter's name and bytes, in name order. Two
+source trees that print the same digest trained this configuration to the
+same bytes. Learning-rate milestones at or past `--epochs` are dropped,
+which leaves the schedule of the epochs that run unchanged.
+
+    python scripts/train_digest.py --src src --seed 0 --epochs 3
+    python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="directory that holds the otface package")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--epochs", type=int, default=3)
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from otface import BackboneConfig, MarginConfig, SinkhornConfig, TrainConfig, Trainer
+    from otface.cli import METRICS_COLUMNS
+    from otface.data import generate_synthetic, load_dataset
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = generate_synthetic(Path(tmp) / "hard", 10, 100, 0.7, seed=123,
+                                      image_size=16, holdout_per_class=30)
+        images, labels = load_dataset(manifest, "train")
+    trainer = Trainer(
+        images, labels,
+        BackboneConfig(input_size=16, stage_channels=(8, 16, 16), embedding_dim=32,
+                       tap_stage=2),
+        MarginConfig(variant="additive_cosine", scale=16.0, margin=0.2),
+        SinkhornConfig(epsilon=0.1, unroll_iters=15),
+        TrainConfig(batch_size=32, epochs=args.epochs, lr=0.05, momentum=0.9,
+                    weight_decay=5e-4,
+                    lr_milestones=tuple(m for m in (18, 25) if m < args.epochs),
+                    sampler="class_balanced", sampler_p=8, sampler_k=4,
+                    seed=args.seed),
+        mining_enabled=True, cap_per_anchor=1, hinge_margin=0.1, lambda_ot=0.2,
+    )
+    print(",".join(METRICS_COLUMNS))
+    for row in trainer.run():
+        print(",".join(repr(row[c]) for c in METRICS_COLUMNS))
+    digest = hashlib.sha256()
+    for name in sorted(trainer.state.params):
+        digest.update(name.encode())
+        digest.update(trainer.state.params[name].data.tobytes())
+    print(f"params sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,7 +2,7 @@
 fused into one differentiable training objective, at desk scale."""
 
 from .backbone import BackboneConfig, ForwardOutput, forward, init_params, \
-    to_distribution, to_distributions
+    to_distribution
 from .errors import (
     ConfigurationError,
     ContractError,

@@ -122,26 +122,15 @@ def forward(images: Tensor, params: dict[str, Tensor],
 
 def to_distribution(feature_maps: Tensor) -> Tensor:
     """Reshape a (d, h, w) feature-map stack into the (n, d) matrix of
-    per-pixel feature vectors, n = h * w, row-major pixel order."""
+    per-pixel feature vectors, n = h * w, row-major pixel order; an
+    (N, d, h, w) batch maps to the (N, n, d) stack of them."""
     fm = as_tensor(feature_maps)
-    if len(fm.shape) != 3:
+    if len(fm.shape) not in (3, 4):
         raise ConfigurationError(
-            f"expected a (d, h, w) feature-map stack, got {fm.shape}"
+            f"expected (d, h, w) or (N, d, h, w) feature maps, got {fm.shape}"
         )
-    d, h, w = fm.shape
-    return fm.reshape(d, h * w).mT
-
-
-def to_distributions(feature_maps: Tensor) -> Tensor:
-    """Batched `to_distribution`: (N, d, h, w) maps to the (N, n, d) stack
-    of per-sample distributions, in the same pixel order."""
-    fm = as_tensor(feature_maps)
-    if len(fm.shape) != 4:
-        raise ConfigurationError(
-            f"expected an (N, d, h, w) feature-map batch, got {fm.shape}"
-        )
-    count, d, h, w = fm.shape
-    return fm.reshape(count, d, h * w).mT
+    *batch, d, h, w = fm.shape
+    return fm.reshape(*batch, d, h * w).mT
 
 
 def embed(images: np.ndarray, params: dict[str, Tensor], cfg: BackboneConfig,

@@ -168,9 +168,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_csv(path: str, ndmin: int, dtype=float) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=ndmin)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_mine(args) -> int:
-    embeddings = np.loadtxt(args.embeddings, delimiter=",", ndmin=2)
-    labels = np.loadtxt(args.labels, delimiter=",", dtype=int, ndmin=1)
+    embeddings = _read_csv(args.embeddings, 2)
+    labels = _read_csv(args.labels, 1, int)
     batch = LabeledBatch(embeddings, labels)
     groups = mine_hard_groups(batch, args.cap_per_anchor)
     print("anchor,positive,negative")
@@ -181,7 +188,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_ot_solve(args) -> int:
-    cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+    cost = _read_csv(args.cost, 2)
     plan = sinkhorn_log_domain(cost, SinkhornConfig(
         epsilon=args.epsilon, max_iters=args.max_iters, marginal_tol=args.tol))
     print(f"value: {plan.value!r}")

@@ -168,10 +168,13 @@ def generate_synthetic(out_dir: Path, num_classes: int, per_class: int,
     no embedder can produce a hard group; higher hardness mixes classes
     together and inflates within-class spread.
     """
-    if num_classes < 2:
-        raise ConfigurationError(f"need >= 2 classes, got {num_classes}")
     if not 0.0 <= hardness <= 1.0:
         raise ConfigurationError(f"hardness must be in [0, 1], got {hardness}")
+    for name, value, least in (("num_classes", num_classes, 2), ("per_class", per_class, 1),
+                               ("holdout_per_class", holdout_per_class, 0),
+                               ("image_size", image_size, 1), ("channels", channels, 1)):
+        if value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

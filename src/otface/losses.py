@@ -129,30 +129,28 @@ def ot_triplet_loss(groups: list[HardGroup], distributions,
                     cfg: SinkhornConfig, hinge_margin: float = 0.0) -> Tensor:
     """Sum over hard groups of [OT(a, p) - OT(a, n) + hinge_margin]_+.
 
-    `distributions` is an (N, n, d) tensor of per-sample feature
-    distributions or any mapping from sample index to an (n, d) one.
-    Each distinct unordered pair is solved once, as OT(lower index,
-    higher index), and all of them in a single batched `ot_distance`.
+    `groups` holds (a, p, n) index triples. `distributions` is an
+    (N, n, d) tensor of per-sample feature distributions or any mapping
+    from sample index to an (n, d) one. Each distinct unordered pair is
+    solved once, as OT(lower index, higher index), and all of them in a
+    single batched `ot_distance`.
     """
     if hinge_margin < 0.0:
         raise ConfigurationError(
             f"hinge_margin must be nonnegative, got {hinge_margin}"
         )
-    if not groups:
+    if len(groups) == 0:
         return Tensor(0.0)
-    triples = np.array([(g.anchor, g.positive, g.negative) for g in groups])
+    triples = np.asarray(groups, dtype=np.intp)
     # rows 0..G-1 are the (anchor, positive) pairs, rows G..2G-1 the
     # (anchor, negative) ones, each sorted to (lower, higher)
-    ends = np.concatenate([np.sort(triples[:, [0, 1]], axis=1),
-                           np.sort(triples[:, [0, 2]], axis=1)])
+    ends = np.sort(np.concatenate([triples[:, [0, 1]], triples[:, [0, 2]]]), axis=1)
     pairs, pair_of_end = np.unique(ends, axis=0, return_inverse=True)
-    used, slots = np.unique(pairs, return_inverse=True)
-    slots = slots.reshape(pairs.shape)
-    if isinstance(distributions, Tensor):
-        stacked = distributions.gather(used)
-    else:
-        stacked = stack([distributions[int(i)] for i in used])
-    ot = ot_distance(stacked.gather(slots[:, 0]), stacked.gather(slots[:, 1]), cfg)
+    if not isinstance(distributions, Tensor):  # stacked once, over the used samples
+        used = sorted(set(pairs.ravel().tolist()))
+        distributions = stack([distributions[i] for i in used])
+        pairs = np.searchsorted(used, pairs)
+    ot = ot_distance(*(distributions.gather(end) for end in pairs.T), cfg)
     ap, an = pair_of_end.reshape(2, len(groups))
     return (ot.gather(ap) - ot.gather(an) + hinge_margin).relu().sum()
 
@@ -176,8 +174,6 @@ def otface_loss(batch: LabeledBatch, embeddings: Tensor, distributions,
     if not groups:
         return LossBreakdown(margin_loss=margin, ot_loss=Tensor(0.0),
                              total=margin, num_hard_groups=0)
-    ot = ot_triplet_loss(groups, distributions, sinkhorn_cfg, hinge_margin)
-    if lambda_ot != 1.0:
-        ot = ot * lambda_ot
+    ot = ot_triplet_loss(groups, distributions, sinkhorn_cfg, hinge_margin) * lambda_ot
     return LossBreakdown(margin_loss=margin, ot_loss=ot, total=margin + ot,
                          num_hard_groups=len(groups))

@@ -8,6 +8,7 @@ ties do not qualify).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +16,11 @@ from .errors import ContractError
 from .tensor import row_norms
 
 
-@dataclass(frozen=True)
-class HardGroup:
+# Most (anchor, positive, negative) margin cells the miner builds at once.
+_MARGIN_CELLS = 1 << 20
+
+
+class HardGroup(NamedTuple):
     anchor: int
     positive: int
     negative: int
@@ -53,36 +57,31 @@ def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
 def mine_hard_groups(batch: LabeledBatch,
                      cap_per_anchor: int | None = None) -> list[HardGroup]:
     """All (a, p, n) with matching a/p labels, a != p, a/n labels differing,
-    and sim(a, p) < sim(a, n).
+    and sim(a, p) < sim(a, n), sorted by (a, p, n).
 
     Without a cap this is exactly the full triple enumeration. With a cap,
-    the hardest triples per anchor are kept, ranked by
+    an anchor with more hard triples keeps its hardest ones, in order of
     sim(a, n) - sim(a, p) descending, ties broken by (p, n) index order.
     """
     if cap_per_anchor is not None and cap_per_anchor <= 0:
         raise ContractError(f"cap_per_anchor must be positive, got {cap_per_anchor}")
     sim = similarity_matrix(batch.embeddings)
-    labels = batch.labels
-    n = labels.shape[0]
-    groups: list[HardGroup] = []
-    for a in range(n):
-        same = labels == labels[a]
-        pos_idx = np.nonzero(same)[0]
-        pos_idx = pos_idx[pos_idx != a]
-        neg_idx = np.nonzero(~same)[0]
-        if pos_idx.size == 0 or neg_idx.size == 0:
-            continue
-        # violation margin per (p, n) pair; > 0 means a hard group
-        margin = sim[a, neg_idx][None, :] - sim[a, pos_idx][:, None]
-        pi, ni = np.nonzero(margin > 0.0)
-        if pi.size == 0:
-            continue
-        if cap_per_anchor is not None and pi.size > cap_per_anchor:
-            # stable sort keeps (p, n) index order among equal margins
-            order = np.argsort(-margin[pi, ni], kind="stable")[:cap_per_anchor]
-            pi, ni = pi[order], ni[order]
-        groups.extend(
-            HardGroup(a, int(pos_idx[p]), int(neg_idx[q]))
-            for p, q in zip(pi, ni)
-        )
-    return groups
+    same = batch.labels[:, None] == batch.labels[None, :]
+    block = max(1, _MARGIN_CELLS // sim.size)
+    triples = []
+    for lo in range(0, len(sim), block):
+        rows = np.arange(lo, min(lo + block, len(sim)))
+        s, pos, neg = sim[rows], same[rows], ~same[rows]
+        pos[np.arange(rows.size), rows] = False
+        # margin[a, p, q] = sim(a, q) - sim(a, p); > 0 means a hard group
+        margin = s[:, None, :] - s[:, :, None]
+        a, p, q = np.nonzero((margin > 0.0) & pos[:, :, None] & neg[:, None, :])
+        if cap_per_anchor is not None:
+            count = np.bincount(a, minlength=rows.size)
+            # rank anchors over the cap; the stable sort keeps (p, n) order on ties
+            rank = np.where(count[a] > cap_per_anchor, -margin[a, p, q], 0.0)
+            order = np.lexsort((rank, a))  # a is sorted, so a[order] == a
+            keep = order[np.arange(a.size) - np.searchsorted(a, a) < cap_per_anchor]
+            a, p, q = a[keep], p[keep], q[keep]
+        triples.append(np.stack([rows[a], p, q], axis=1))
+    return list(map(HardGroup._make, np.concatenate(triples).tolist()))

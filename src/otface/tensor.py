@@ -28,16 +28,19 @@ from .errors import (
 EPS_NORM = 1e-12
 
 
-def row_norms(rows: np.ndarray, name: str = "embedding") -> np.ndarray:
-    """L2 norm of every vector along the last axis. Raises
-    DegenerateInputError naming the index of the first one whose norm is
-    NaN, infinite or <= EPS_NORM."""
-    norms = np.linalg.norm(rows, axis=-1)
+def _checked_norms(norms: np.ndarray, name: str) -> np.ndarray:
+    """Raise DegenerateInputError naming the index of the first norm that
+    is NaN, infinite or <= EPS_NORM; otherwise return `norms`."""
     bad = np.argwhere(~(np.isfinite(norms) & (norms > EPS_NORM)))
     if bad.size:
         where = ", ".join(str(int(i)) for i in bad[0])
         raise DegenerateInputError(f"{name} {where} has norm {norms[tuple(bad[0])]:.3e}")
     return norms
+
+
+def row_norms(rows: np.ndarray, name: str = "embedding") -> np.ndarray:
+    """Checked L2 norm of every vector along the last axis."""
+    return _checked_norms(np.linalg.norm(rows, axis=-1), name)
 
 
 # Cap on |d/dx arccos(x)| near x = +-1, where the true derivative diverges.
@@ -227,16 +230,16 @@ class Tensor:
             out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
-    def gather(self, indices, axis: int = 0) -> "Tensor":
-        """Select rows/entries along `axis`; backward scatter-adds."""
+    def gather(self, indices) -> "Tensor":
+        """Rows at `indices`; backward adds each cell's gradients in index order."""
         idx = np.asarray(indices, dtype=np.intp)
-        out = Tensor._make(np.take(self.data, idx, axis=axis), (self,))
+        out = Tensor._make(np.take(self.data, idx, axis=0), (self,))
         if out.requires_grad:
+            width = self.data[0].size
+            cells = (idx.reshape(-1, 1) % len(self.data) * width + np.arange(width)).ravel()
             def _bw(g):
-                full = np.zeros_like(self.data)
-                moved = np.moveaxis(full, axis, 0)
-                np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-                self._accum(full)
+                full = np.bincount(cells, weights=g.ravel(), minlength=self.data.size)
+                self._accum(full.reshape(self.data.shape))
             out._backward = _bw
         return out
 
@@ -435,12 +438,14 @@ def normalize_rows(m: Tensor) -> Tensor:
     """L2-normalize each row of a 2-D tensor, or of every matrix in a
     stack (the vectors along the last axis)."""
     m = as_tensor(m)
-    row_norms(m.data, "row")
-    return m / (m * m).sum(axis=-1, keepdims=True).sqrt()
+    norms = (m * m).sum(axis=-1, keepdims=True).sqrt()
+    _checked_norms(norms.data[..., 0], "row")
+    return m / norms
 
 
 def normalize_cols(m: Tensor) -> Tensor:
     """L2-normalize each column of a 2-D tensor."""
     m = as_tensor(m)
-    row_norms(m.data.T, "column")
-    return m / (m * m).sum(axis=0, keepdims=True).sqrt()
+    norms = (m * m).sum(axis=0, keepdims=True).sqrt()
+    _checked_norms(norms.data[0], "column")
+    return m / norms

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneConfig, embed, forward, init_params, to_distributions
+from .backbone import BackboneConfig, embed, forward, init_params, to_distribution
 from .errors import ConfigurationError, ContractError, NumericalRegimeError
 from .losses import ClassifierWeights, LossBreakdown, MarginConfig, otface_loss
 from .mining import LabeledBatch
@@ -153,7 +153,7 @@ class Trainer:
         out = forward(Tensor(self.images[idx]), self.state.params, self.backbone_cfg)
         batch = LabeledBatch(out.embedding.data, self.labels[idx])
         return otface_loss(
-            batch, out.embedding, to_distributions(out.feature_maps),
+            batch, out.embedding, to_distribution(out.feature_maps),
             self.classifier, self.margin_cfg, self.sinkhorn_cfg,
             hinge_margin=self.hinge_margin, lambda_ot=self.lambda_ot,
             cap_per_anchor=self.cap_per_anchor, mining_enabled=self.mining_enabled,

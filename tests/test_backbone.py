@@ -118,9 +118,15 @@ def test_to_distribution_round_trip_and_norm():
     assert np.array_equal(dist.data.T.reshape(5, 3, 4), maps)
 
 
-def test_to_distribution_rejects_batched_input():
-    with pytest.raises(ConfigurationError):
-        to_distribution(Tensor(np.zeros((2, 3, 4, 4))))
+def test_to_distribution_batch_equals_stacked_samples():
+    maps = Tensor(np.random.default_rng(7).normal(size=(3, 5, 2, 4)))
+    batched = to_distribution(maps)
+    assert batched.shape == (3, 8, 5)
+    per_sample = np.stack([to_distribution(maps.gather(i)).data for i in range(3)])
+    assert np.array_equal(batched.data, per_sample)
+    for shape in ((5, 8), (2, 3, 5, 2, 4)):
+        with pytest.raises(ConfigurationError, match="feature maps"):
+            to_distribution(Tensor(np.zeros(shape)))
 
 
 def test_n_equals_hw_for_all_taps():

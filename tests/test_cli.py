@@ -258,6 +258,27 @@ def test_mine_rejects_embedding_row_with_nan(tmp_path, capsys):
     assert err.startswith("error:") and "embedding 2" in err
 
 
+@pytest.mark.parametrize("case", ["fractional_label", "bad_cost_cell", "missing_embeddings"])
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, case):
+    emb, labels, cost = tmp_path / "emb.csv", tmp_path / "labels.csv", tmp_path / "cost.csv"
+    emb.write_text("1,0\n0,1\n0.9,0.1\n")
+    labels.write_text("0,0,1\n")
+    cost.write_text("0,1\n1,0\n")
+    if case == "fractional_label":
+        labels.write_text("0,0.5,1\n")
+        bad, argv = labels, ("mine", "--embeddings", str(emb), "--labels", str(labels))
+    elif case == "bad_cost_cell":
+        cost.write_text("0,x\n1,0\n")
+        bad, argv = cost, ("ot", "solve", "--cost", str(cost), "--epsilon", "0.1")
+    else:
+        emb.unlink()
+        bad, argv = emb, ("mine", "--embeddings", str(emb), "--labels", str(labels))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     data = gen_dataset(tmp_path)
     code = run_cli("train", "--out", str(tmp_path / "x"),

@@ -41,6 +41,20 @@ def test_same_seed_gives_byte_identical_dataset(tmp_path):
         assert a[name] == b[name], name
 
 
+@pytest.mark.parametrize("name, kwargs", [
+    ("per_class", {"per_class": 0}),
+    ("per_class", {"per_class": -3}),
+    ("holdout_per_class", {"per_class": 3, "holdout_per_class": -2}),
+    ("image_size", {"image_size": 0}),
+    ("channels", {"channels": 0}),
+])
+def test_generate_synthetic_rejects_bad_sizes_naming_the_argument(tmp_path, name, kwargs):
+    args = {"per_class": 3, **kwargs}
+    with pytest.raises(ConfigurationError, match=name):
+        generate_synthetic(tmp_path / "d", 2, args.pop("per_class"), 0.5, seed=0, **args)
+    assert not (tmp_path / "d").exists()
+
+
 def test_labels_are_contiguous_and_split_sizes_match(tmp_path):
     manifest = generate_synthetic(tmp_path / "d", 4, 5, 0.3, seed=0,
                                   image_size=8, holdout_per_class=2)

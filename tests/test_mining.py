@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otface.mining as mining_mod
 from otface import ContractError, DegenerateInputError, HardGroup, LabeledBatch
 from otface.mining import mine_hard_groups, similarity_matrix
 
@@ -159,3 +160,73 @@ def test_batch_validation():
     bad[1] = [np.nan, 1.0]
     with pytest.raises(DegenerateInputError, match="embedding 1"):
         LabeledBatch(bad, np.array([0, 1, 0]))
+
+
+def per_anchor_groups(batch, cap_per_anchor=None):
+    """The per-anchor loop the vectorised miner replaced: the order oracle.
+
+    Training is byte-identical only if the miner returns the same triples
+    in the same order, so this is compared as a whole list."""
+    sim = similarity_matrix(batch.embeddings)
+    labels = batch.labels
+    groups = []
+    for a in range(labels.shape[0]):
+        same = labels == labels[a]
+        pos_idx = np.nonzero(same)[0]
+        pos_idx = pos_idx[pos_idx != a]
+        neg_idx = np.nonzero(~same)[0]
+        margin = sim[a, neg_idx][None, :] - sim[a, pos_idx][:, None]
+        pi, ni = np.nonzero(margin > 0.0)
+        if cap_per_anchor is not None and pi.size > cap_per_anchor:
+            order = np.argsort(-margin[pi, ni], kind="stable")[:cap_per_anchor]
+            pi, ni = pi[order], ni[order]
+        groups.extend(HardGroup(a, int(pos_idx[p]), int(neg_idx[q]))
+                      for p, q in zip(pi, ni))
+    return groups
+
+
+def pk_batch(rng, p, k, tied):
+    """A P x K batch in shuffled order; `tied` draws embeddings from
+    {-1, 0, 1}, so many similarities and margins are exactly equal."""
+    labels = rng.permutation(np.repeat(rng.permutation(20)[:p], k))
+    if tied:
+        emb = rng.integers(-1, 2, size=(p * k, 3)).astype(np.float64)
+        emb[~emb.any(axis=1)] = 1.0
+    else:
+        emb = rng.normal(size=(p * k, 6))
+    return LabeledBatch(emb, labels)
+
+
+def test_miner_matches_per_anchor_loop_in_order():
+    rng = np.random.default_rng(2024)
+    ties = 0
+    for trial in range(420):
+        tied = trial % 3 == 0
+        batch = pk_batch(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), tied)
+        for cap in (None, 1, 2, 5):
+            got = mine_hard_groups(batch, cap)
+            assert got == per_anchor_groups(batch, cap), (trial, cap)
+            assert all(type(v) is int for g in got for v in g)
+        ties += tied
+    assert ties >= 140
+
+
+def test_miner_order_holds_across_anchor_blocks(monkeypatch):
+    rng = np.random.default_rng(7)
+    batches = [pk_batch(rng, 8, 4, tied) for tied in (False, True)]
+    expected = [[per_anchor_groups(b, cap) for cap in (None, 1, 2, 5)]
+                for b in batches]
+    # blocks of 1 anchor, of 5 with a short last block, and of the whole batch
+    for cells in (1, 5 * 32 * 32 + 7, 32 * 32 * 32):
+        monkeypatch.setattr(mining_mod, "_MARGIN_CELLS", cells)
+        for batch, want in zip(batches, expected):
+            assert [mine_hard_groups(batch, cap) for cap in (None, 1, 2, 5)] == want
+
+
+def test_groups_are_an_index_array():
+    batch = pk_batch(np.random.default_rng(3), 4, 3, False)
+    groups = mine_hard_groups(batch)
+    triples = np.asarray(groups)
+    assert triples.shape == (len(groups), 3) and triples.dtype.kind == "i"
+    assert [tuple(g) for g in groups] == [tuple(t) for t in triples.tolist()]
+    assert (groups[0].anchor, groups[0].positive, groups[0].negative) == tuple(groups[0])

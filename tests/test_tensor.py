@@ -287,3 +287,18 @@ def test_gather_scatter_adds_duplicate_indices():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     x.gather([1, 1, 0]).sum().backward()
     assert np.array_equal(x.grad, [1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("indices", [[3, 1, 3, 0, 3, 1, 3], 2, [[0, 4], [4, 4]], [-1, 4]])
+def test_gather_scatter_is_bit_identical_to_add_at(indices):
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True)
+    out = x.gather(indices)
+    assert np.array_equal(out.data, np.take(x.data, indices, axis=0))
+    # magnitudes spread over 1e-8..1e8, so summing in another order changes
+    # the rounding
+    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 9, size=out.shape)
+    (out * g).sum().backward()
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, np.asarray(indices), g)
+    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))

@@ -18,7 +18,7 @@ from otface import (
     lr_at,
     otface_loss,
     sgd_step,
-    to_distributions,
+    to_distribution,
 )
 from otface.data import generate_synthetic, load_dataset
 
@@ -183,7 +183,7 @@ def test_training_step_tape_is_freed_by_reference_counting(tmp_path):
         out = forward(Tensor(images), params, trainer.backbone_cfg)
         loss = otface_loss(
             LabeledBatch(out.embedding.data, labels), out.embedding,
-            to_distributions(out.feature_maps), trainer.classifier,
+            to_distribution(out.feature_maps), trainer.classifier,
             trainer.margin_cfg, trainer.sinkhorn_cfg, hinge_margin=0.1)
         assert loss.num_hard_groups > 0
         loss.total.backward()
@@ -217,7 +217,7 @@ def test_step_gradients_equal_those_of_a_copying_accumulator(tmp_path, monkeypat
         out = forward(Tensor(images), params, trainer.backbone_cfg)
         loss = otface_loss(
             LabeledBatch(out.embedding.data, labels), out.embedding,
-            to_distributions(out.feature_maps), trainer.classifier,
+            to_distribution(out.feature_maps), trainer.classifier,
             trainer.margin_cfg, trainer.sinkhorn_cfg, hinge_margin=0.1)
         assert loss.num_hard_groups > 0
         loss.total.backward()
