@@ -1,10 +1,13 @@
 """Train acceptance criterion 6's with-OT configuration and print a digest.
 
 Prints each epoch's metrics row, formatted as `metrics.csv` formats it,
-then the SHA-256 of every parameter's name and bytes, in name order. Two
-source trees that print the same digest trained this configuration to the
-same bytes. Learning-rate milestones at or past `--epochs` are dropped,
-which leaves the schedule of the epochs that run unchanged.
+then the SHA-256 of every parameter's name and bytes, in name order, and
+the SHA-256 of the criterion's held-out pair set (`make_pairs(te_labels,
+50, 10, seed=999)`: its left, right, same and fold arrays, in that order).
+Two source trees that print the same digests trained this configuration
+to the same bytes and verify it on the same pairs. Learning-rate
+milestones at or past `--epochs` are dropped, which leaves the schedule
+of the epochs that run unchanged.
 
     python scripts/train_digest.py --src src --seed 0 --epochs 3
     python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
@@ -30,11 +33,13 @@ def main() -> int:
     from otface import BackboneConfig, MarginConfig, SinkhornConfig, TrainConfig, Trainer
     from otface.cli import METRICS_COLUMNS
     from otface.data import generate_synthetic, load_dataset
+    from otface.evaluation import make_pairs
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = generate_synthetic(Path(tmp) / "hard", 10, 100, 0.7, seed=123,
                                       image_size=16, holdout_per_class=30)
         images, labels = load_dataset(manifest, "train")
+        te_labels = load_dataset(manifest, "test")[1]
     trainer = Trainer(
         images, labels,
         BackboneConfig(input_size=16, stage_channels=(8, 16, 16), embedding_dim=32,
@@ -56,6 +61,11 @@ def main() -> int:
         digest.update(name.encode())
         digest.update(trainer.state.params[name].data.tobytes())
     print(f"params sha256 {digest.hexdigest()}")
+    pairs = make_pairs(te_labels, 50, 10, seed=999)
+    digest = hashlib.sha256()
+    for name in ("left", "right", "same", "fold"):
+        digest.update(getattr(pairs, name).tobytes())
+    print(f"pairs sha256 {digest.hexdigest()}")
     return 0
 
 

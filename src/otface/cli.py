@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,9 +171,14 @@ def cmd_eval(args) -> int:
 
 def _read_csv(path: str, ndmin: int, dtype=float) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=ndmin)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=ndmin)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    if data.size == 0:
+        raise ConfigurationError(f"cannot read {path}: no data")
+    return data
 
 
 def cmd_mine(args) -> int:

@@ -43,31 +43,76 @@ class VerificationReport:
     thresholds: list[float] = field(default_factory=list)
 
 
+_WORDS_PER_PAIR = 9  # genuine pair <= 4 words, impostor <= 5, barring rejections
+
+
+def _draw(words: np.ndarray, at: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw on [0, n) (Lemire's method) replayed at every
+    offset `at` of a block of 32-bit words: (values, offsets after). A word
+    w is rejected, and the next read, while (w*n) % 2**32 < 2**32 % n. A draw
+    on [0, 1) reads none; one that runs off the block ends at len(words) + 1."""
+    n = np.broadcast_to(np.asarray(n, dtype=np.uint64), at.shape)
+    live = (n > 1) & (at < len(words))
+    prod = words[np.where(live, at, 0)] * n  # dead entries' words are discarded
+    value = np.where(live, prod >> 32, 0).astype(np.intp)
+    after = np.where(live, at + 1, np.where(n > 1, len(words) + 1, at))
+    retry = np.flatnonzero(live & ((prod & 0xFFFFFFFF) < n))  # 2**32 % n < n
+    retry = retry[(prod[retry] & 0xFFFFFFFF) < (1 << 32) % n[retry]]
+    if retry.size:
+        value[retry], after[retry] = _draw(words, after[retry], n[retry])
+    return value, after
+
+
+def _draw_two(words: np.ndarray, at: np.ndarray, k) -> tuple[np.ndarray, ...]:
+    """`choice(k, 2, replace=False)` replayed like `_draw`: Floyd's draws on
+    [0, k-2] and [0, k-1], a repeat becoming k-1, then the two-element
+    shuffle, which swaps the pair when its draw on [0, 1] is 0."""
+    i, at = _draw(words, at, k - 1)
+    j, at = _draw(words, at, k)
+    j = np.where(j == i, k - 1, j)
+    keep, at = _draw(words, at, 2)
+    return np.where(keep, i, j), np.where(keep, j, i), at
+
+
 def make_pairs(labels: np.ndarray, pairs_per_fold: int, num_folds: int = 10,
                seed: int = 0) -> PairSet:
     """Balanced genuine/impostor pairs split into folds (each fold gets
-    `pairs_per_fold` of each kind)."""
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    by_class = {c: np.nonzero(labels == c)[0] for c in np.unique(labels)}
-    usable = [c for c, idx in by_class.items() if idx.shape[0] >= 2]
-    if len(usable) < 2:
+    `pairs_per_fold` of each kind). A genuine pair is `choice(classes)`, then
+    `choice(members, 2, replace=False)`; an impostor pair is `choice(classes,
+    2, replace=False)`, then `choice(members)` of each. These draws are
+    replayed from blocks of `default_rng(seed)`'s 32-bit words (`_draw`,
+    `_draw_two`), so the pair set depends only on the PCG64 word stream."""
+    for name, value in (("pairs_per_fold", pairs_per_fold), ("num_folds", num_folds)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True,
+                                   equal_nan=False)  # each NaN a class of one
+    # members of class c (of those with >= 2) are order[first[c]:][:size[c]]
+    first, size = (np.cumsum(counts) - counts)[counts >= 2], counts[counts >= 2]
+    if size.size < 2:
         raise ContractError("need >= 2 classes with >= 2 samples each")
-    classes = np.array(usable)
-    total = pairs_per_fold * num_folds
-    left, right, same = [], [], []
-    for _ in range(total):
-        c = rng.choice(classes)
-        a, b = rng.choice(by_class[c], size=2, replace=False)
-        left.append(a); right.append(b); same.append(True)
-    for _ in range(total):
-        c1, c2 = rng.choice(classes, size=2, replace=False)
-        left.append(rng.choice(by_class[c1]))
-        right.append(rng.choice(by_class[c2]))
-        same.append(False)
+    order = np.argsort(inverse, kind="stable")
+    total, rng = pairs_per_fold * num_folds, np.random.default_rng(seed)
+    words, chain = np.empty(0, np.uint64), [1]
+    while chain[-1] > len(words):  # lengthen the block until both chains fit
+        words = np.concatenate([words, rng.integers(
+            0, 2**32, size=_WORDS_PER_PAIR * total, dtype=np.uint64)])
+        offsets = np.arange(len(words) + 2)  # one pair of each kind from each
+        c, at = _draw(words, offsets, size.size)
+        a, b, genuine_next = _draw_two(words, at, size[c])
+        c1, c2, at = _draw_two(words, offsets, size.size)
+        u, at = _draw(words, at, size[c1])
+        v, impostor_next = _draw(words, at, size[c2])
+        chain = [0]
+        for nxt in (genuine_next, impostor_next):
+            for _ in range(total):
+                chain.append(nxt[chain[-1]])
+    g, i = np.array(chain[:total]), np.array(chain[total:-1])
+    left = order[np.concatenate([first[c[g]] + a[g], first[c1[i]] + u[i]])]
+    right = order[np.concatenate([first[c[g]] + b[g], first[c2[i]] + v[i]])]
     # fold f holds genuine pairs [f*ppf, (f+1)*ppf) and the same slice of impostors
     fold = np.concatenate([np.repeat(np.arange(num_folds), pairs_per_fold)] * 2)
-    return PairSet(np.array(left), np.array(right), np.array(same), fold)
+    return PairSet(left, right, np.arange(2 * total) < total, fold)
 
 
 def pair_scores(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:

@@ -145,7 +145,10 @@ def ot_triplet_loss(groups: list[HardGroup], distributions,
     # rows 0..G-1 are the (anchor, positive) pairs, rows G..2G-1 the
     # (anchor, negative) ones, each sorted to (lower, higher)
     ends = np.sort(np.concatenate([triples[:, [0, 1]], triples[:, [0, 2]]]), axis=1)
-    pairs, pair_of_end = np.unique(ends, axis=0, return_inverse=True)
+    # lo * span + hi sorts as (lo, hi) does; span exceeds every index, mapping keys too
+    span = int(ends.max()) + 1
+    keys, pair_of_end = np.unique(ends[:, 0] * span + ends[:, 1], return_inverse=True)
+    pairs = np.stack(divmod(keys, span), axis=1)
     if not isinstance(distributions, Tensor):  # stacked once, over the used samples
         used = sorted(set(pairs.ravel().tolist()))
         distributions = stack([distributions[i] for i in used])

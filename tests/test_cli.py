@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -258,7 +259,8 @@ def test_mine_rejects_embedding_row_with_nan(tmp_path, capsys):
     assert err.startswith("error:") and "embedding 2" in err
 
 
-@pytest.mark.parametrize("case", ["fractional_label", "bad_cost_cell", "missing_embeddings"])
+@pytest.mark.parametrize("case", ["fractional_label", "bad_cost_cell", "missing_embeddings",
+                                  "empty_embeddings", "empty_cost"])
 def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, case):
     emb, labels, cost = tmp_path / "emb.csv", tmp_path / "labels.csv", tmp_path / "cost.csv"
     emb.write_text("1,0\n0,1\n0.9,0.1\n")
@@ -270,13 +272,23 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, case):
     elif case == "bad_cost_cell":
         cost.write_text("0,x\n1,0\n")
         bad, argv = cost, ("ot", "solve", "--cost", str(cost), "--epsilon", "0.1")
-    else:
+    elif case == "missing_embeddings":
         emb.unlink()
         bad, argv = emb, ("mine", "--embeddings", str(emb), "--labels", str(labels))
-    assert run_cli(*argv) == 2
+    elif case == "empty_embeddings":
+        emb.write_text("")
+        bad, argv = emb, ("mine", "--embeddings", str(emb), "--labels", str(labels))
+    else:
+        cost.write_text("")
+        bad, argv = cost, ("ot", "solve", "--cost", str(cost), "--epsilon", "0.1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file must not warn either
+        assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
     assert "Traceback" not in err
+    if case.startswith("empty"):
+        assert err == f"error: cannot read {bad}: no data\n"
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otface import evaluation
+from otface.data import generate_synthetic, load_dataset
 from otface.errors import ContractError, DegenerateInputError
 from otface.evaluation import (
     PairSet,
@@ -342,3 +344,112 @@ def test_make_pairs_balanced_folds():
 def test_make_pairs_needs_two_usable_classes():
     with pytest.raises(ContractError):
         make_pairs(np.array([0, 0, 0, 1]), 4)
+
+
+@pytest.mark.parametrize("ppf, folds, name", [
+    (0, 10, "pairs_per_fold"), (-3, 10, "pairs_per_fold"),
+    (4, 0, "num_folds"), (4, -1, "num_folds"),
+])
+def test_make_pairs_rejects_pair_counts_below_one(ppf, folds, name):
+    message = f"{name} must be >= 1, got {min(ppf, folds)}"
+    with pytest.raises(ContractError, match=message):
+        make_pairs(np.repeat(np.arange(3), 4), ppf, folds)
+
+
+def loop_pairs(labels, pairs_per_fold, num_folds=10, seed=0):
+    """The per-pair loop that `make_pairs` replays from a block of words:
+    the order oracle. Criterion 6's pair set and every reported accuracy
+    stay the same only if the arrays are equal, so they are compared whole."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    by_class = {c: np.nonzero(labels == c)[0] for c in np.unique(labels)}
+    usable = [c for c, idx in by_class.items() if idx.shape[0] >= 2]
+    if len(usable) < 2:
+        raise ContractError("need >= 2 classes with >= 2 samples each")
+    classes = np.array(usable)
+    total = pairs_per_fold * num_folds
+    left, right, same = [], [], []
+    for _ in range(total):
+        c = rng.choice(classes)
+        a, b = rng.choice(by_class[c], size=2, replace=False)
+        left.append(a); right.append(b); same.append(True)
+    for _ in range(total):
+        c1, c2 = rng.choice(classes, size=2, replace=False)
+        left.append(rng.choice(by_class[c1]))
+        right.append(rng.choice(by_class[c2]))
+        same.append(False)
+    fold = np.concatenate([np.repeat(np.arange(num_folds), pairs_per_fold)] * 2)
+    return PairSet(np.array(left), np.array(right), np.array(same), fold)
+
+
+def assert_same_pairs(got, want):
+    for name in ("left", "right", "same", "fold"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_make_pairs_matches_per_pair_loop():
+    rng = np.random.default_rng(13)
+    seen = {"one_member": 0, "two_members": 0, "two_usable": 0, "compared": 0}
+    for trial in range(310):
+        num = int(rng.integers(2, 40))
+        # odd trials: classes of 1-7 samples; even: 2-299
+        sizes = rng.integers(1, 8, num) if trial % 2 else rng.integers(2, 300, num)
+        if trial % 5 == 0:  # exactly two classes with >= 2 samples
+            sizes[:] = 1
+            sizes[rng.choice(num, 2, replace=False)] = rng.integers(2, 5, 2)
+        # shuffled labels whose values have gaps between them
+        labels = rng.permutation(np.repeat(rng.choice(1000, num, replace=False), sizes))
+        args = (labels, int(rng.integers(1, 60)), int(rng.integers(2, 11)),
+                int(rng.integers(0, 2**32)))
+        seen["one_member"] += bool(np.any(sizes == 1))
+        seen["two_members"] += bool(np.any(sizes == 2))
+        seen["two_usable"] += int(np.count_nonzero(sizes >= 2) == 2)
+        if np.count_nonzero(sizes >= 2) < 2:
+            for fn in (make_pairs, loop_pairs):
+                with pytest.raises(ContractError):
+                    fn(*args)
+            continue
+        assert_same_pairs(make_pairs(*args), loop_pairs(*args))
+        seen["compared"] += 1
+    assert seen["compared"] >= 300 and seen["two_usable"] >= 60
+    assert seen["one_member"] >= 100 and seen["two_members"] >= 100
+
+
+def test_make_pairs_matches_loop_on_fixed_calls(tmp_path):
+    manifest = generate_synthetic(tmp_path / "hard", 10, 100, 0.7, seed=123,
+                                  image_size=16, holdout_per_class=30)
+    te_labels = load_dataset(manifest, "test")[1]
+    calls = [(te_labels, 50, 10, 999),  # acceptance criterion 6
+             (np.repeat(np.arange(20), 100), 500, 10, 801)]  # the verify bench
+    calls += [(np.repeat(np.arange(40), 5), 7, 5, seed) for seed in (0, 1, 999)]
+    # NaN matches no label, so the loop skips those samples
+    nan_labels = np.array([0.0, 0.0, 1.0, 1.0, np.nan, np.nan, 2.5, np.nan, 2.5])
+    calls.append((nan_labels, 6, 3, 2))
+    for args in calls:
+        assert_same_pairs(make_pairs(*args), loop_pairs(*args))
+
+
+def test_make_pairs_lengthens_a_short_block(monkeypatch):
+    sizes = [2, 3, 2, 9, 1, 4]
+    labels = np.random.default_rng(4).permutation(np.repeat(np.arange(6), sizes))
+    want = loop_pairs(labels, 8, 4, seed=5)
+    # blocks of one word per pair: each pair reads 2-5, so the walk lengthens many times
+    monkeypatch.setattr(evaluation, "_WORDS_PER_PAIR", 1)
+    assert_same_pairs(make_pairs(labels, 8, 4, seed=5), want)
+
+
+@pytest.mark.parametrize("n, rejects",
+                         [(7, False), (2**31 + 1, True), (3 * 2**30, True)])
+def test_bounded_draw_replays_rng_integers(n, rejects):
+    # rejections come with probability (2**32 mod n) / 2**32 per word, so
+    # label sets of desk size never reach them; these bounds do
+    words = np.random.default_rng(21).integers(0, 2**32, size=1000, dtype=np.uint64)
+    values, after = evaluation._draw(words, np.arange(len(words) + 2), n)
+    rng = np.random.default_rng(21)
+    at, rejected = 0, 0
+    for _ in range(200):
+        assert values[at] == rng.integers(0, n)
+        rejected += int(after[at]) - at - 1
+        at = int(after[at])
+    assert (rejected > 0) == rejects
