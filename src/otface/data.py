@@ -48,6 +48,15 @@ class SampleEntry:
     split: str = "train"
 
 
+def _require_keys(doc, keys, where) -> None:
+    """Raise unless `doc` is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"malformed manifest {where}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ConfigurationError(f"malformed manifest {where}: missing key {key!r}")
+
+
 @dataclass
 class DatasetManifest:
     root: Path
@@ -92,14 +101,17 @@ class DatasetManifest:
             raise ConfigurationError(f"no {MANIFEST_NAME} under {root}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"malformed manifest {path}: {exc}") from None
-        if doc.get("version") != MANIFEST_VERSION:
+        _require_keys(doc, ("version",), path)
+        if doc["version"] != MANIFEST_VERSION:
             raise ConfigurationError(
-                f"unsupported manifest version {doc.get('version')}"
+                f"unsupported manifest version {doc['version']}"
             )
-        samples = [
-            SampleEntry(s["id"], s["file"], s["label"], s.get("split", "train"))
-            for s in doc["samples"]
-        ]
+        _require_keys(doc, ("encoding", "image_shape", "samples"), path)
+        samples = []
+        for i, s in enumerate(doc["samples"]):
+            _require_keys(s, ("id", "file", "label"), f"{path} sample {i}")
+            samples.append(SampleEntry(s["id"], s["file"], s["label"],
+                                       s.get("split", "train")))
         manifest = cls(root, tuple(doc["image_shape"]), doc["encoding"], samples)
         for s in samples:
             if not (root / s.file).exists():
@@ -245,10 +257,16 @@ def load_checkpoint(path: Path):
         params: dict[str, Tensor] = {}
         momentum: dict[str, np.ndarray] = {}
         for key in blob.files:
-            if key.startswith("param/"):
-                params[key[len("param/"):]] = Tensor(blob[key], requires_grad=True)
-            elif key.startswith("momentum/"):
-                momentum[key[len("momentum/"):]] = blob[key].copy()
+            kind, _, name = key.partition("/")
+            if kind not in ("param", "momentum"):
+                continue
+            value = blob[key]
+            if not np.isfinite(value).all():
+                raise ConfigurationError(f"{path}: {kind} {name} holds NaN or Inf")
+            if kind == "param":
+                params[name] = Tensor(value, requires_grad=True)
+            else:
+                momentum[name] = value
         if not params:
             raise ConfigurationError(f"{path}: checkpoint holds no parameters")
         return params, momentum, int(meta[1]), int(meta[2])

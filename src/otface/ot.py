@@ -1,12 +1,14 @@
 """Entropic optimal transport between uniform discrete distributions.
 
-Both marginals are 1/n, the Gibbs kernel is K = exp(-C/epsilon) and the
-Sinkhorn fixed point alternates v <- (1/n) / (K^T u), u <- (1/n) / (K v).
-The one solver, `sinkhorn_log_domain`, iterates on log u and log v, so it
-survives small epsilon. An exact permutation-enumeration oracle covers
-n <= 8. `ot_distance` runs a fixed budget of kernel-domain iterations as
-one autodiff tape node whose backward pass sweeps the stored iterates in
-reverse, so gradients flow into both input distributions.
+Both marginals are 1/n and the plan is P = exp((f_i + g_j - C_ij) / eps)
+for dual potentials f, g. One private solve, `_solve`, handles a (B, n, n)
+cost stack: an epsilon ladder, plain Sinkhorn updates on a kernel that each
+level stabilises by the last level's potentials, so it stays normal at any
+epsilon, and batched Newton for the problems still above tolerance. `sinkhorn_log_domain`
+is that solve for one cost. `ot_distance` is it as one autodiff tape node,
+polished to a violation near `POLISH_TOL`, whose backward differentiates the
+converged plan implicitly with one linear solve. An exact
+permutation-enumeration oracle covers n <= 8.
 """
 
 from __future__ import annotations
@@ -29,24 +31,16 @@ class SinkhornConfig:
     marginal_tol: float = 1e-6
     # Only the log-domain solver exists; False is rejected.
     log_domain: bool = True
-    # Fixed iteration budget of the differentiable `ot_distance`.
+    # Plain-iteration budget of `ot_distance` before Newton polishes it.
     unroll_iters: int = 50
     # Subtract epsilon * H(P) from the reported ot_distance value.
     include_entropy: bool = False
 
     def validate(self) -> "SinkhornConfig":
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters <= 0:
-            raise ConfigurationError(f"max_iters must be positive, got {self.max_iters}")
-        if self.marginal_tol <= 0.0:
-            raise ConfigurationError(
-                f"marginal_tol must be positive, got {self.marginal_tol}"
-            )
-        if self.unroll_iters <= 0:
-            raise ConfigurationError(
-                f"unroll_iters must be positive, got {self.unroll_iters}"
-            )
+        for name in ("epsilon", "max_iters", "marginal_tol", "unroll_iters"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if not self.log_domain:
             raise ConfigurationError("log_domain=False is not supported: the "
                                      "standard-domain solver was removed")
@@ -80,49 +74,6 @@ def _check_cost(cost: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
-
-
-def _violation(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray
-               ) -> float:
-    """Largest row or column marginal error of the plan the duals give."""
-    plan = np.exp(log_u + log_kernel + log_v)
-    n = plan.shape[0]
-    return float(max(np.max(np.abs(plan.sum(axis=1) - 1.0 / n)),
-                     np.max(np.abs(plan.sum(axis=0) - 1.0 / n))))
-
-
-def _newton_polish(log_kernel: np.ndarray, log_u: np.ndarray, log_v: np.ndarray,
-                   tol: float, max_steps: int = 50) -> tuple[np.ndarray, np.ndarray, int]:
-    """Newton steps on the dual marginal residuals.
-
-    The alternating updates stall when competing transport patterns are
-    nearly tied relative to epsilon; Newton converges quadratically to
-    the same unique fixed point. The Jacobian's constant-shift nullspace
-    is handled by the minimum-norm least-squares solve. The duals are an
-    (n, 1) column `log_u` and a (1, n) row `log_v`.
-    """
-    n = log_kernel.shape[0]
-    r = 1.0 / n
-    steps = 0
-    for steps in range(1, max_steps + 1):
-        plan = np.exp(log_u + log_kernel + log_v)
-        rows = plan.sum(axis=1)
-        cols = plan.sum(axis=0)
-        residual = np.concatenate([rows - r, cols - r])
-        if np.max(np.abs(residual)) <= min(tol, 1e-13) * 10:
-            break
-        jac = np.block([[np.diag(rows), plan], [plan.T, np.diag(cols)]])
-        delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
-        # damp wild steps far from the fixed point
-        scale = min(1.0, 1.0 / np.max(np.abs(delta)))
-        log_u = log_u + scale * delta[:n, None]
-        log_v = log_v + scale * delta[None, n:]
-    return log_u, log_v, steps
-
-
 # The plain updates have stalled once the marginal violation has not
 # halved over this many iterations. Windows of 10 to 100 iterations all
 # converge every criterion-1 problem and n = 16 tap cost; a longer window
@@ -134,85 +85,169 @@ STALL_WINDOW = 20
 # them to `marginal_tol` made random-cost solves about 45% slower.
 COARSE_TOL = 1e-2
 
+# Newton polishes every `ot_distance` pair to this violation, far below
+# what central differences with h = 1e-4 can resolve, within this many steps.
+POLISH_TOL = 1e-12
+NEWTON_STEPS = 50
 
-def _plain(log_kernel: np.ndarray, log_u: np.ndarray, tol: float, budget: int
-           ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Alternating updates from `log_u` until the violation reaches `tol`,
+# Relative jitter on the Schur block's diagonal. Plan entries near 1e-95
+# split the support into blocks that leave the block singular in floats.
+SCHUR_JITTER = 1e-13
+
+
+def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
+           budget: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Alternating updates at `eps` on a (B, n, n) cost stack from row
+    potentials `f` (B, n, 1), in cost units.
+
+    The kernel exp((f_i + g_j - C_ij) / eps), with g the column potentials
+    `f` implies, stays normal at every level of the ladder, so the updates
+    run on scalings. A problem stops when its violation reaches `tol`,
     stops halving over `STALL_WINDOW` iterations, or, at the rate seen over
-    that window, cannot reach `tol` within `budget` iterations.
-
-    Returns the duals, an (n, 1) column and a (1, n) row, their violation
-    (inf if no iteration ran) and the number of iterations run.
+    that window, cannot reach `tol` within its `budget` of iterations.
+    Returns f, g (B, 1, n), the violations (inf where no iteration ran) and
+    the iterations run.
     """
-    n = log_kernel.shape[0]
-    log_r = -np.log(n)
-    # Column log-sum-exps for the next v-update; after a u-update they
-    # also give the plan's column sums, exp(log_v + lse_cols), while its
-    # rows are exact.
-    lse_cols = _lse(log_kernel + log_u, axis=0)
-    log_v = log_r - lse_cols
-    history: list[float] = []
-    violation = np.inf
-    iters = 0
-    while iters < budget:
-        iters += 1
-        log_v = log_r - lse_cols
-        log_u = log_r - _lse(log_kernel + log_v, axis=1)
-        lse_cols = _lse(log_kernel + log_u, axis=0)
-        violation = float(np.max(np.abs(np.exp(log_v + lse_cols) - 1.0 / n)))
-        if violation <= tol:
-            break
-        history.append(violation)
-        if len(history) > STALL_WINDOW:
-            rate = violation / history[-1 - STALL_WINDOW]
-            if rate > 0.5 or violation * rate ** ((budget - iters) / STALL_WINDOW) > tol:
+    r = 1.0 / cost.shape[-1]
+    kernel = (f - cost) / eps
+    top = kernel.max(axis=-2, keepdims=True)
+    kernel = np.exp(kernel - top)
+    scale = r / (np.ones(cost.shape[-1]) @ kernel)[:, None, :]
+    g = eps * (np.log(scale) - top)
+    kernel *= scale  # exp((f + g - C) / eps); every column sums to r
+    u, v = np.ones_like(f), np.ones_like(f)
+    violation = np.full(len(cost), np.inf)
+    iters = np.zeros(len(cost), dtype=np.int64)
+    window = STALL_WINDOW
+    history = np.empty((window + 1, len(cost)))
+    active = np.flatnonzero(budget > 0)
+    k, uk, left = kernel[active], u[active], budget[active]
+    kt, horizon, left_min = k.mT, left / window, left.min(initial=0)
+    # column sums of the plan are v_j (K^T u)_j once u has been updated
+    ktu = kt @ uk
+    t = 0
+    while active.size:
+        t += 1
+        vk = r / ktu
+        uk = r / (k @ vk)
+        ktu = kt @ uk
+        viol = np.abs(vk * ktu - r).max(axis=1)[:, 0]
+        history[t % (window + 1), active] = viol
+        stop = viol <= tol
+        if t >= left_min:
+            stop |= left <= t
+        if t > window:
+            rate = viol / history[(t - window) % (window + 1), active]
+            stop |= rate > 0.5
+            stop |= viol * rate ** (horizon - t / window) > tol
+        if stop.any():
+            done = active[stop]
+            u[done], v[done] = uk[stop], vk[stop]
+            violation[done], iters[done] = viol[stop], t
+            if stop.all():
                 break
-    return log_u, log_v, violation, iters
+            keep = ~stop
+            active, k, uk, ktu, left = (a[keep] for a in (active, k, uk, ktu, left))
+            kt, horizon, left_min = k.mT, left / window, left.min(initial=0)
+    return f + eps * np.log(u), g + eps * np.log(v).mT, violation, iters
+
+
+def _schur_solve(gram: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Column part b of a solve with the marginal Jacobian [[diag(rows), P],
+    [P^T, diag(cols)]] of a (B, n, n) stack, b_n = 0 pinning its (1, -1)
+    null direction: the (n-1) Schur block diag(cols) - `gram`, with `gram`
+    = P^T diag(1 / rows) P over the first n-1 columns, against `rhs`, the
+    (B, n-1) right side once the row part is eliminated.
+    """
+    schur = -gram
+    schur.reshape(len(gram), -1)[:, ::cols.shape[-1]] += (1.0 + SCHUR_JITTER) * cols[..., :-1]
+    b = np.linalg.solve(schur, rhs[..., None])[..., 0]
+    return np.concatenate([b, np.zeros((len(b), 1))], axis=-1)
+
+
+def _newton(plan: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Damped Newton steps (Brauer et al. 2017) on the column scalings of a
+    (B, n, n) stack of plans, the rows normalised exactly each round, until
+    each violation reaches `tol` or `NEWTON_STEPS` run out. Returns the
+    plans, their violations and the steps each took.
+    """
+    n = plan.shape[-1]
+    r, ones = 1.0 / n, np.ones(n)
+    active, p = np.arange(len(plan)), plan
+    plan, violation = np.empty_like(plan), np.empty(len(plan))
+    steps = np.zeros(len(plan), dtype=np.int64)
+    step = 0
+    while True:
+        p = p * (r / (p @ ones))[..., None]
+        cols = ones @ p
+        residual = r - cols
+        viol = np.abs(residual).max(axis=-1)
+        stop = (viol <= tol) | (step == NEWTON_STEPS)
+        if stop.any():
+            done = active[stop]
+            plan[done], violation[done], steps[done] = p[stop], viol[stop], step
+            if stop.all():
+                return plan, violation, steps
+            keep = ~stop
+            active, p, cols, residual = (v[keep] for v in (active, p, cols, residual))
+        step += 1
+        pinned = p[..., :-1]
+        db = _schur_solve(n * (pinned.mT @ pinned), cols, residual[:, :-1])
+        # a shift of the column potentials is absorbed by the row
+        # normalisation; damp wild steps
+        db -= (db @ ones)[:, None] / n
+        db *= np.minimum(1.0, 1.0 / np.abs(db).max(axis=-1))[:, None]
+        p = p * np.exp(db)[:, None, :]
+
+
+def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
+           ) -> tuple[np.ndarray, ...]:
+    """Solve a (B, n, n) cost stack to marginal violation `tol`.
+
+    All problems walk one epsilon ladder (Schmitzer 2019) down by factors
+    of ten to `eps`, each level warm-started from the last one's potentials,
+    since a cold start at small epsilon can lock onto an infeasible support.
+    The top level, max(eps, 1, C.max() / 10), keeps C / eps within the
+    factor each later level adds; levels above `eps` stop at `COARSE_TOL`.
+    `budget` caps each problem's plain iterations over all levels; Newton
+    polishes those left above `tol`. Returns the plans, their violations and
+    the iterations (plain plus Newton).
+    """
+    levels = []
+    level = max(eps, 1.0, float(cost.max()) / 10.0)
+    while level > eps:
+        levels.append(level)
+        level /= 10.0
+    f = np.zeros(cost.shape[:-1] + (1,))
+    iters = np.zeros(len(cost), dtype=np.int64)
+    for level in levels + [eps]:
+        f, g, violation, used = _plain(cost, level, f, COARSE_TOL if level > eps else tol,
+                                       budget - iters)
+        iters += used
+    plan = np.exp((f + g - cost) / eps)
+    # a budget spent before the target level can leave rows that underflow
+    # there, which Newton cannot normalise; they stay unconverged
+    normal = (plan.sum(axis=-1) > np.finfo(float).tiny).all(axis=-1)
+    stuck = np.flatnonzero((violation > tol) & normal)
+    if stuck.size:
+        plan[stuck], violation[stuck], steps = _newton(plan[stuck], min(tol, POLISH_TOL))
+        iters[stuck] += steps
+    return plan, violation, iters
 
 
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
-    """Sinkhorn scaling on log potentials, so exp(-C/eps) never underflows.
-
-    Every solve walks an epsilon ladder (Schmitzer 2019) from max(eps, 1)
-    down by factors of ten to `cfg.epsilon`, warm-starting each level from
-    the last one's potentials; a cold start at very small epsilon can lock
-    onto an infeasible support. Levels above the target stop at
-    `COARSE_TOL`. If the target level's plain updates hand off before the
-    marginals converge, Newton refinement of the dual potentials finishes
-    the solve. `cfg.max_iters` caps the plain iterations of all levels.
-    """
+    """Entropic OT plan of one (n, n) cost: `_solve` with B = 1, whose
+    plain iterations over all ladder levels `cfg.max_iters` caps."""
     cfg.validate()
     cost = _check_cost(cost)
-    n = cost.shape[0]
-    levels = []
-    eps = max(cfg.epsilon, 1.0)
-    while eps > cfg.epsilon:
-        levels.append(eps)
-        eps /= 10.0
-    # potentials f = eps * log_u live in cost units, so they carry across levels
-    f = np.zeros((n, 1))
-    iters = 0
-    for eps in levels + [cfg.epsilon]:
-        tol = COARSE_TOL if eps > cfg.epsilon else cfg.marginal_tol
-        log_kernel = -cost / eps
-        log_u, log_v, violation, used = _plain(
-            log_kernel, f / eps, tol, cfg.max_iters - iters
-        )
-        iters += used
-        f = eps * log_u
-    if violation > cfg.marginal_tol:
-        log_u, log_v, steps = _newton_polish(
-            log_kernel, log_u, log_v, cfg.marginal_tol
-        )
-        iters += steps
-        violation = _violation(log_kernel, log_u, log_v)
-    plan = np.exp(log_u + log_kernel + log_v)
+    plan, violation, iters = _solve(cost[None], cfg.epsilon, cfg.marginal_tol,
+                                    cfg.max_iters)
     return TransportPlan(
-        plan=plan,
-        value=float((cost * plan).sum()),
-        iterations_used=iters,
-        marginal_violation=violation,
-        converged=violation <= cfg.marginal_tol,
+        plan=plan[0],
+        value=float((cost * plan[0]).sum()),
+        iterations_used=int(iters[0]),
+        marginal_violation=float(violation[0]),
+        converged=bool(violation[0] <= cfg.marginal_tol),
     )
 
 
@@ -235,93 +270,53 @@ def exact_ot_uniform(cost: np.ndarray) -> float:
     return best / n
 
 
-def _unrolled_sinkhorn(cost: Tensor, cfg: SinkhornConfig) -> Tensor:
-    """One tape node from an (n, n) or (B, n, n) cost to the () or (B,)
-    values of `cfg.unroll_iters` Sinkhorn updates from u = 1.
-
-    The forward pass keeps every iterate; the backward pass sweeps them in
-    reverse with vector updates only, then forms the kernel gradient as
-    two GEMMs over the iteration axis.
-    """
-    c = cost.data
-    eps, iters, entropic = cfg.epsilon, cfg.unroll_iters, cfg.include_entropy
-    kernel = np.exp(-c * (1.0 / eps))
-    if np.any(kernel.sum(axis=-1) == 0.0) or np.any(kernel.sum(axis=-2) == 0.0):
-        raise NumericalRegimeError(
-            f"Gibbs kernel underflows at epsilon={eps}; "
-            "increase epsilon for the differentiable path"
-        )
-    r = 1.0 / c.shape[-1]
-    kernel_t = kernel.mT
-    # u[t] is the u of iteration t (u[0] = 1); v, K^T u and K v of
-    # iteration t + 1 sit at index t
-    u = np.empty((iters + 1,) + c.shape[:-1] + (1,))
-    u[0] = 1.0
-    v, ktu, kv = (np.empty_like(u[1:]) for _ in range(3))
-    for t in range(iters):
-        np.matmul(kernel_t, u[t], out=ktu[t])
-        if not ktu[t].all():
-            raise NumericalRegimeError("unrolled Sinkhorn underflowed; increase epsilon")
-        np.divide(r, ktu[t], out=v[t])
-        np.matmul(kernel, v[t], out=kv[t])
-        if not kv[t].all():
-            raise NumericalRegimeError("unrolled Sinkhorn underflowed; increase epsilon")
-        np.divide(r, kv[t], out=u[t + 1])
-    plan = u[-1] * kernel * v[-1].mT
-    value = (c * plan).sum(axis=(-2, -1))
-    if entropic:
-        # H(P) = -sum P (log P - 1); tiny floor keeps log finite at P ~ 0.
-        safe_plan = plan + 1e-300
-        log_plan = np.log(safe_plan)
-        entropy = -(plan * (log_plan - 1.0)).sum(axis=(-2, -1))
-        value = value - eps * entropy
-    out = Tensor._make(value, (cost,))
-    if out.requires_grad:
-        def _bw(g):
-            g = g[..., None, None]
-            g_plan = g * c
-            if entropic:
-                g_plan = g_plan + g * eps * ((log_plan - 1.0) + plan / safe_plan)
-            g_pk = g_plan * kernel
-            gu = g_pk @ v[-1]
-            gv = g_pk.mT @ u[-1]
-            g_kv, g_ktu = np.empty_like(kv), np.empty_like(ktu)
-            for t in reversed(range(iters)):
-                g_kv[t] = -gu * u[t + 1] / kv[t]
-                gv = gv + kernel_t @ g_kv[t]
-                g_ktu[t] = -gv * v[t] / ktu[t]
-                gu = kernel @ g_ktu[t]
-                gv = 0.0
-            g_kernel = (g_plan * (u[-1] * v[-1].mT)
-                        + _sum_outer(g_kv, v) + _sum_outer(u[:-1], g_ktu))
-            cost._accum(g * plan - g_kernel * kernel / eps)
-        out._backward = _bw
-    return out
-
-
-def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_t a[t] b[t]^T over (T, ..., n, 1) stacks, as one batched GEMM."""
-    return np.moveaxis(a[..., 0], 0, -1) @ np.moveaxis(b[..., 0], 0, -2)
-
-
 def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     """Differentiable entropic OT between n x d feature distributions.
 
     Takes one pair of (n, d) distributions and returns a scalar, or two
-    (B, n, d) stacks and returns the B pairwise values. The cosine cost is
-    built on the tape; the cfg.unroll_iters Sinkhorn updates on top of it
-    are one node with a hand-written reverse sweep, so the gradient flows
-    into both inputs through the cost matrix and the iterates, and the
-    tape does not grow with the iteration count. Returns the transport
-    cost <C, P>; with cfg.include_entropy also subtracts epsilon * H(P).
+    (B, n, d) stacks and returns the B pairwise values: the converged cost
+    <C, P*> of the cosine cost built on the tape, less epsilon * H(P*) with
+    cfg.include_entropy. The solve is one tape node with an implicit
+    backward (Eisenberger et al. 2022): d<C, P*>/dC = P * (1 + (lam_i +
+    mu_j - C_ij) / eps), where (lam, mu) solves the marginal Jacobian
+    against the row and column sums of C * P; the entropic value's gradient
+    is P*. A pair Newton leaves above `POLISH_TOL` raises.
     """
     cfg.validate()
-    m1 = as_tensor(m1)
-    m2 = as_tensor(m2)
+    m1, m2 = as_tensor(m1), as_tensor(m2)
     if m1.shape != m2.shape or len(m1.shape) not in (2, 3):
         raise ContractError(
             f"distributions must share an n x d or B x n x d shape, "
             f"got {m1.shape} and {m2.shape}"
         )
     cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
-    return _unrolled_sinkhorn(cost, cfg)
+    stack = cost.data.reshape((-1,) + cost.shape[-2:])
+    eps = cfg.epsilon
+    plan, violation, _ = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
+    stuck = np.flatnonzero(violation > POLISH_TOL)
+    if stuck.size:
+        raise NumericalRegimeError(
+            f"OT pairs {stuck.tolist()} did not converge at epsilon={eps}: "
+            f"marginal violation {violation[stuck].max():.2e} after Newton")
+    ones = np.ones(stack.shape[-1])
+    weighted = stack * plan
+    cost_rows = weighted @ ones
+    value = cost_rows @ ones
+    if cfg.include_entropy:
+        # epsilon * H(P) = -epsilon * sum P (log P - 1), with 0 log 0 = 0
+        log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
+        value = value + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
+    out = Tensor._make(value.reshape(cost.shape[:-2]), (cost,))
+    if out.requires_grad:
+        def _bw(out_grad):
+            grad = plan
+            if not cfg.include_entropy:
+                rows, cost_cols, pinned = plan @ ones, ones @ weighted, plan[..., :-1]
+                rhs = cost_cols[:, :-1] - ((cost_rows / rows)[:, None, :] @ pinned)[:, 0]
+                gram = pinned.mT @ (pinned / rows[..., None])
+                mu = _schur_solve(gram, ones @ plan, rhs)
+                lam = (cost_rows - (plan @ mu[..., None])[..., 0]) / rows
+                grad = plan * (1.0 + (lam[..., None] + mu[:, None, :] - stack) / eps)
+            cost._accum((np.reshape(out_grad, (-1, 1, 1)) * grad).reshape(cost.shape))
+        out._backward = _bw
+    return out

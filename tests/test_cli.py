@@ -142,6 +142,21 @@ def test_eval_rejects_unreadable_checkpoint_naming_the_path(tmp_path, capsys, co
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_eval_rejects_checkpoint_with_non_finite_parameter(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    bb = BackboneConfig(input_size=8, stage_channels=(4, 6), embedding_dim=5,
+                        tap_stage=1)
+    params = init_params(bb, np.random.default_rng(3))
+    params["proj.bias"].data[0] = np.nan
+    path = tmp_path / "nan.npz"
+    save_checkpoint(path, params)
+    assert run_cli("eval", "--checkpoint", str(path), "--manifest", str(data),
+                   "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "proj.bias" in err
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("stages, override, key, detail", [
     ((4, 6), ["--set", "backbone.stage_channels=[4,6,6]"], "stage2.weight",
      "checkpoint missing"),

@@ -118,6 +118,24 @@ def test_manifest_rejects_missing_file_and_bad_version(tmp_path):
         DatasetManifest.load(tmp_path / "d")
 
 
+@pytest.mark.parametrize("doc, detail", [
+    ({"version": 1}, "missing key 'encoding'"),
+    ([1, 2], "expected a JSON object"),
+    ({"encoding": "float32"}, "missing key 'version'"),
+    ({"version": 1, "encoding": "float32", "image_shape": [1, 8, 8]},
+     "missing key 'samples'"),
+    ({"version": 1, "encoding": "float32", "image_shape": [1, 8, 8],
+      "samples": [{"id": 0, "label": 0}]}, "sample 0: missing key 'file'"),
+], ids=["version_only", "list", "no_version", "no_samples", "sample_without_file"])
+def test_manifest_missing_keys_are_configuration_errors_naming_the_file(
+        tmp_path, doc, detail):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError) as info:
+        DatasetManifest.load(tmp_path)
+    assert str(tmp_path / "manifest.json") in str(info.value)
+    assert detail in str(info.value)
+
+
 def test_float32_images_round_trip_exactly(tmp_path):
     manifest = generate_synthetic(tmp_path / "f32", 2, 3, 0.6, seed=2,
                                   image_size=8, encoding="float32")
