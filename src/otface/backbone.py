@@ -45,6 +45,12 @@ class BackboneConfig:
                 f"input_size {self.input_size} not divisible by 2^{halvings} "
                 "(stages after the first each halve the extent)"
             )
+        for name in ("in_channels", "embedding_dim", "kernel_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if min(self.stage_channels) < 1:
+            raise ConfigurationError(
+                f"stage_channels must be positive, got {list(self.stage_channels)}")
         if self.kernel_size % 2 != 1:
             raise ConfigurationError("kernel_size must be odd")
         return self

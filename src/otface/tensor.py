@@ -370,18 +370,28 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
     return windows.reshape(c * kh * kw, n * out_h * out_w)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
-            stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
-    """Sum `_im2col`-shaped columns back onto the (n, c, h, w) input: one
-    strided add per kernel offset, always in the same (i, j) order."""
+def _conv_input_grad(g2: np.ndarray, kernels: np.ndarray, x_shape: tuple[int, ...],
+                     stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
+    """Input gradient of `conv2d` from its (c_out, n*out_h*out_w) output
+    gradient, in gather form. Padded-input row s*q + a meets only kernel
+    rows a + s*m (columns likewise), so each of the s*s phases is a
+    stride-1 correlation of the zero-padded gradient with that phase's
+    flipped sub-kernel: one GEMM for all phases, then one interleave copy."""
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    cols = cols.reshape(c, kh, kw, n, out_h, out_w).transpose(1, 2, 3, 0, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] \
-                += cols[i, j]
-    return xp[:, :, padding:padding + h, padding:padding + w]
+    co, _, kh, kw = kernels.shape
+    s, mh, mw = stride, -(-kh // stride), -(-kw // stride)
+    k = np.zeros((co, c, mh * s, mw * s))
+    k[:, :, :kh, :kw] = kernels
+    k = k.reshape(co, c, mh, s, mw, s)[:, :, ::-1, :, ::-1]  # (co, c, m, a, l, b)
+    qh, qw = out_h + mh - 1, out_w + mw - 1
+    gp = np.zeros((co, n, qh + mh - 1, qw + mw - 1))
+    gp[:, :, mh - 1:qh, mw - 1:qw] = g2.reshape(co, n, out_h, out_w)
+    cols = _im2col(gp.transpose(1, 0, 2, 3), mh, mw, 1, qh, qw)
+    del gp
+    phases = k.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, -1) @ cols  # (a, b, c) rows
+    del cols
+    gx = phases.reshape(s, s, c, n, qh, qw).transpose(3, 2, 4, 0, 5, 1)  # (n, c, q, a, p, b)
+    return gx.reshape(n, c, qh * s, qw * s)[:, :, padding:padding + h, padding:padding + w]
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -389,8 +399,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
     `x` is (n, c_in, h, w) and `kernels` is (c_out, c_in, kh, kw). Output
     spatial extent is (h + 2*padding - kh)/stride + 1, which must be
-    integral. The forward pass and both gradients are each one 2-D GEMM
-    against the im2col columns, with the batch in the column dimension.
+    integral. The forward pass, the kernel gradient and the input gradient
+    are each one 2-D GEMM against im2col columns (of the input, or of the
+    padded output gradient), with the batch in the column dimension.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
@@ -399,6 +410,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             f"conv2d expects (n,c,h,w) input and (co,ci,kh,kw) kernels, "
             f"got {x.data.shape} and {kernels.data.shape}"
         )
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if value < low:
+            raise ConfigurationError(f"conv2d {name} must be >= {low}, got {value}")
     n, c_in, h, w = x.data.shape
     c_out, c_in_k, kh, kw = kernels.data.shape
     if c_in != c_in_k:
@@ -423,9 +437,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             if kernels.requires_grad:
                 kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
             if x.requires_grad:
-                gx = _col2im(wmat.T @ g2, (n, c_in, h, w), kh, kw, stride, padding,
-                             out_h, out_w)
-                x._accum(gx)
+                x._accum(_conv_input_grad(g2, kernels.data, x.data.shape, stride,
+                                          padding, out_h, out_w))
         out._backward = _bw
     return out
 

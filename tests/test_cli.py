@@ -327,6 +327,10 @@ BAD_VALUES = [
     ({}, ["mining.enabled=false", "loss.hinge_margin=-1"], "loss.hinge_margin"),
     ({}, ["mining.enabled=false", "mining.cap_per_anchor=0"], "mining.cap_per_anchor"),
     ({}, ["loss.lambda_ot=-5"], "loss.lambda_ot"),
+    ({}, ["backbone.kernel_size=-1"], "kernel_size"),
+    ({}, ["backbone.in_channels=0"], "in_channels"),
+    ({}, ["backbone.embedding_dim=0"], "embedding_dim"),
+    ({}, ["backbone.stage_channels=[4,0]"], "stage_channels"),
 ]
 
 

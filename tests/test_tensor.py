@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otface import (
+    ConfigurationError,
     ContractError,
     DegenerateInputError,
     ShapeMismatchError,
@@ -198,17 +199,7 @@ def _conv2d_reference(x, k, stride, padding, g):
     return out, gxp[:, :, padding:padding + h, padding:padding + w], gk
 
 
-# the backbone's stage shapes: (c_in, c_out, extent, kernel, stride, padding)
-@pytest.mark.parametrize("c_in,c_out,extent,k,stride,padding", [
-    (1, 8, 16, 3, 1, 1),
-    (8, 16, 16, 4, 2, 1),
-    (16, 16, 8, 4, 2, 1),
-])
-def test_conv2d_batched_matches_nested_loop_reference(c_in, c_out, extent, k,
-                                                      stride, padding):
-    rng = np.random.default_rng(c_in)
-    x0 = rng.normal(size=(3, c_in, extent, extent))
-    k0 = rng.normal(size=(c_out, c_in, k, k))
+def _check_against_reference(x0, k0, stride, padding, rng):
     x = Tensor(x0, requires_grad=True)
     kernels = Tensor(k0, requires_grad=True)
     out = conv2d(x, kernels, stride=stride, padding=padding)
@@ -219,6 +210,64 @@ def test_conv2d_batched_matches_nested_loop_reference(c_in, c_out, extent, k,
     assert rel_err(out.data, ref_out) < 1e-12
     assert rel_err(x.grad, ref_gx) < 1e-12
     assert rel_err(kernels.grad, ref_gk) < 1e-12
+
+
+# (c_in, c_out, extent, kernel, stride, padding): the backbone's three stage
+# shapes, then kernels that are not a multiple of the stride (k3 s2, k5 s3),
+# kernels at or below the stride and unpadded, and a stride-1 pad wider than 1
+@pytest.mark.parametrize("c_in,c_out,extent,k,stride,padding", [
+    (1, 8, 16, 3, 1, 1),
+    (8, 16, 16, 4, 2, 1),
+    (16, 16, 8, 4, 2, 1),
+    (2, 3, 9, 3, 2, 1),
+    (3, 2, 10, 5, 3, 2),
+    (2, 3, 8, 4, 2, 0),
+    (3, 2, 8, 2, 2, 0),
+    (2, 3, 6, 3, 1, 2),
+])
+def test_conv2d_batched_matches_nested_loop_reference(c_in, c_out, extent, k,
+                                                      stride, padding):
+    rng = np.random.default_rng(c_in)
+    x0 = rng.normal(size=(3, c_in, extent, extent))
+    k0 = rng.normal(size=(c_out, c_in, k, k))
+    _check_against_reference(x0, k0, stride, padding, rng)
+
+
+# (x shape, kernel shape, stride, padding): one image, and a rectangular
+# input with a rectangular kernel
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", [
+    ((1, 3, 9, 9), (2, 3, 3, 3), 2, 1),
+    ((2, 2, 9, 7), (3, 2, 3, 1), 2, 1),
+], ids=["one-image", "rectangular"])
+def test_conv2d_single_image_and_rectangular_match_reference(x_shape, k_shape,
+                                                             stride, padding):
+    rng = np.random.default_rng(17)
+    x0 = rng.normal(size=x_shape)
+    k0 = rng.normal(size=k_shape)
+    _check_against_reference(x0, k0, stride, padding, rng)
+
+
+def test_conv2d_stride_2_odd_kernel_gradients_match_central_differences():
+    # the loss is quadratic in either argument, so a unit step is exact up
+    # to rounding
+    rng = np.random.default_rng(19)
+    x0 = rng.normal(size=(2, 2, 7, 7))
+    k0 = rng.normal(size=(3, 2, 3, 3))
+    check_grad(lambda t: _sum_sq(conv2d(t, Tensor(k0), stride=2, padding=1)),
+               x0, tol=1e-12, eps=1.0)
+    check_grad(lambda t: _sum_sq(conv2d(Tensor(x0), t, stride=2, padding=1)),
+               k0, tol=1e-12, eps=1.0)
+
+
+@pytest.mark.parametrize("extent,stride,padding,name", [
+    (4, 0, 0, "stride"),
+    (4, -1, 0, "stride"),
+    (6, 1, -1, "padding"),
+])
+def test_conv2d_rejects_bad_stride_or_padding(extent, stride, padding, name):
+    with pytest.raises(ConfigurationError, match=f"conv2d {name} must be"):
+        conv2d(Tensor(np.ones((1, 1, extent, extent))), Tensor(np.ones((1, 1, 3, 3))),
+               stride=stride, padding=padding)
 
 
 def test_conv2d_kernel_shared_by_two_calls_accumulates_both_gradients():
