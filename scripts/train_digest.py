@@ -7,10 +7,13 @@ the SHA-256 of the criterion's held-out pair set (`make_pairs(te_labels,
 Two source trees that print the same digests trained this configuration
 to the same bytes and verify it on the same pairs. Learning-rate
 milestones at or past `--epochs` are dropped, which leaves the schedule
-of the epochs that run unchanged.
+of the epochs that run unchanged. `--no-mining` trains the same
+configuration with mining off, the margin-only run the criterion
+compares against.
 
     python scripts/train_digest.py --src src --seed 0 --epochs 3
     python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
+    python scripts/train_digest.py --src src --seed 0 --epochs 3 --no-mining
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ def main() -> int:
                         help="directory that holds the otface package")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epochs", type=int, default=3)
+    parser.add_argument("--no-mining", action="store_true",
+                        help="train margin-only (mining_enabled=False)")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from otface import BackboneConfig, MarginConfig, SinkhornConfig, TrainConfig, Trainer
@@ -51,7 +56,7 @@ def main() -> int:
                     lr_milestones=tuple(m for m in (18, 25) if m < args.epochs),
                     sampler="class_balanced", sampler_p=8, sampler_k=4,
                     seed=args.seed),
-        mining_enabled=True, cap_per_anchor=1, hinge_margin=0.1, lambda_ot=0.2,
+        mining_enabled=not args.no_mining, cap_per_anchor=1, hinge_margin=0.1, lambda_ot=0.2,
     )
     print(",".join(METRICS_COLUMNS))
     for row in trainer.run():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -29,7 +30,7 @@ DEFAULTS: dict = {
     "backbone": _section(BackboneConfig),
     "margin": _section(MarginConfig),
     # the other solver knobs reach only `otface ot solve`, never training
-    "sinkhorn": _section(SinkhornConfig, ("epsilon", "unroll_iters", "include_entropy")),
+    "sinkhorn": _section(SinkhornConfig, ("epsilon", "unroll_iters")),
     "trainer": {**_section(TrainConfig), "checkpoint_every": 0},  # 0 = only at the end
     "mining": {"enabled": True, "cap_per_anchor": None},
     "loss": {"hinge_margin": 0.0, "lambda_ot": 1.0},
@@ -52,7 +53,8 @@ def _is(value, kind: type) -> bool:
 
 def _typed(path: str, value, default):
     """`value` if it has the type of `default`, lists element by element (an int
-    for a float key becomes a float); else a ConfigurationError naming `path`."""
+    for a float key becomes a float) and floats finite; else a
+    ConfigurationError naming `path`."""
     if value is None and path in _OPTIONAL:
         return None
     kind = _OPTIONAL.get(path, type(default))
@@ -60,6 +62,8 @@ def _typed(path: str, value, default):
     if not _is(value, kind) or item and not all(_is(v, item) for v in value):
         want = kind.__name__ + (f" of {item.__name__}" if item else "")
         raise ConfigurationError(f"config key {path!r} must be {want}, got {value!r}")
+    if float in (kind, item) and not all(map(math.isfinite, value if item else (value,))):
+        raise ConfigurationError(f"config key {path!r} must be finite, got {value!r}")
     return float(value) if kind is float else value
 
 

@@ -150,6 +150,9 @@ def load_dataset(manifest: DatasetManifest,
     if not entries:
         raise ContractError(f"no samples in split {split!r}")
     images = np.stack([load_image(manifest, s) for s in entries])
+    bad = np.flatnonzero(~np.isfinite(images).reshape(len(entries), -1).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"image {entries[bad[0]].file} has a NaN or infinite pixel")
     labels = np.array([s.label for s in entries])
     return images, labels
 

@@ -5,15 +5,17 @@ for dual potentials f, g. One private solve, `_solve`, handles a (B, n, n)
 cost stack: an epsilon ladder, plain Sinkhorn updates on a kernel that each
 level stabilises by the last level's potentials, so it stays normal at any
 epsilon, and batched Newton for the problems still above tolerance. `sinkhorn_log_domain`
-is that solve for one cost. `ot_distance` is it as one autodiff tape node,
-polished to a violation near `POLISH_TOL`, whose backward differentiates the
-converged plan implicitly with one linear solve. An exact
+is that solve for one cost, reporting the plan's transport cost <C, P>.
+`ot_distance` is it as one autodiff tape node, polished to a violation near
+`POLISH_TOL`, whose value is the entropic objective <C, P> - eps * H(P) and
+whose gradient with respect to C is therefore the plan itself. An exact
 permutation-enumeration oracle covers n <= 8.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +35,12 @@ class SinkhornConfig:
     log_domain: bool = True
     # Plain-iteration budget of `ot_distance` before Newton polishes it.
     unroll_iters: int = 50
-    # Subtract epsilon * H(P) from the reported ot_distance value.
-    include_entropy: bool = False
 
     def validate(self) -> "SinkhornConfig":
         for name in ("epsilon", "max_iters", "marginal_tol", "unroll_iters"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # NaN fails both
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if not self.log_domain:
             raise ConfigurationError("log_domain=False is not supported: the "
                                      "standard-domain solver was removed")
@@ -274,13 +274,12 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     """Differentiable entropic OT between n x d feature distributions.
 
     Takes one pair of (n, d) distributions and returns a scalar, or two
-    (B, n, d) stacks and returns the B pairwise values: the converged cost
-    <C, P*> of the cosine cost built on the tape, less epsilon * H(P*) with
-    cfg.include_entropy. The solve is one tape node with an implicit
-    backward (Eisenberger et al. 2022): d<C, P*>/dC = P * (1 + (lam_i +
-    mu_j - C_ij) / eps), where (lam, mu) solves the marginal Jacobian
-    against the row and column sums of C * P; the entropic value's gradient
-    is P*. A pair Newton leaves above `POLISH_TOL` raises.
+    (B, n, d) stacks and returns the B pairwise values: the entropic
+    objective <C, P*> - epsilon * H(P*), H(P) = -sum P (log P - 1), of the
+    converged plan P* for the cosine cost C built on the tape. P* minimises
+    that objective, so by the envelope theorem (Cuturi 2013) its gradient
+    with respect to C is P* and the backward needs no solve. A pair Newton
+    leaves above `POLISH_TOL` raises.
     """
     cfg.validate()
     m1, m2 = as_tensor(m1), as_tensor(m2)
@@ -299,24 +298,12 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
             f"OT pairs {stuck.tolist()} did not converge at epsilon={eps}: "
             f"marginal violation {violation[stuck].max():.2e} after Newton")
     ones = np.ones(stack.shape[-1])
-    weighted = stack * plan
-    cost_rows = weighted @ ones
-    value = cost_rows @ ones
-    if cfg.include_entropy:
-        # epsilon * H(P) = -epsilon * sum P (log P - 1), with 0 log 0 = 0
-        log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
-        value = value + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
+    # -epsilon * H(P) = epsilon * sum P (log P - 1), with 0 log 0 = 0
+    log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
+    value = (stack * plan) @ ones @ ones + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
     out = Tensor._make(value.reshape(cost.shape[:-2]), (cost,))
     if out.requires_grad:
         def _bw(out_grad):
-            grad = plan
-            if not cfg.include_entropy:
-                rows, cost_cols, pinned = plan @ ones, ones @ weighted, plan[..., :-1]
-                rhs = cost_cols[:, :-1] - ((cost_rows / rows)[:, None, :] @ pinned)[:, 0]
-                gram = pinned.mT @ (pinned / rows[..., None])
-                mu = _schur_solve(gram, ones @ plan, rhs)
-                lam = (cost_rows - (plan @ mu[..., None])[..., 0]) / rows
-                grad = plan * (1.0 + (lam[..., None] + mu[:, None, :] - stack) / eps)
-            cost._accum((np.reshape(out_grad, (-1, 1, 1)) * grad).reshape(cost.shape))
+            cost._accum((np.reshape(out_grad, (-1, 1, 1)) * plan).reshape(cost.shape))
         out._backward = _bw
     return out

@@ -1,9 +1,11 @@
+import csv
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+import otface.cli
 import otface.config
 import otface.trainer
 from otface.backbone import BackboneConfig, embed, init_params
@@ -251,6 +253,64 @@ def test_ot_solve_converges_where_the_kernel_underflows(tmp_path, capsys):
     assert float(lines["marginal_violation"]) <= 1e-6
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_ot_solve_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    cost = tmp_path / "cost.csv"
+    cost.write_text("0,1\n1,0\n")
+    assert run_cli("ot", "solve", "--cost", str(cost), "--epsilon", epsilon) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: epsilon must be positive and finite")
+    assert captured.out == ""
+
+
+def test_non_finite_pixel_is_rejected_naming_the_file(tmp_path, capsys):
+    data = gen_dataset(tmp_path, holdout=0)  # eval then reads every sample
+    bad = DatasetManifest.load(data).samples[3].file
+    pixels = np.frombuffer((data / bad).read_bytes(), dtype="<f4").copy()
+    pixels[5] = np.nan
+    (data / bad).write_bytes(pixels.tobytes())
+    path, _, _ = tiny_checkpoint(tmp_path)
+    for argv in (("train", "--out", str(tmp_path / "run"), "--set", f"data.manifest={data}",
+                  *TINY_TRAIN_ARGS),
+                 ("eval", "--checkpoint", str(path), "--manifest", str(data),
+                  "--out", str(tmp_path / "report"), *TINY_EVAL_ARGS)):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: image {bad} has a NaN or infinite pixel\n"
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert not (tmp_path / "report").exists()
+
+
+def _hard_groups(run_dir):
+    with open(run_dir / "metrics.csv") as f:
+        return [int(row["hard_groups"]) for row in csv.DictReader(f)]
+
+
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize("key, value, attr", [("enabled", False, "mining_enabled"),
+                                              ("cap_per_anchor", 1, "cap_per_anchor")])
+def test_mining_keys_reach_the_trainer_and_change_hard_groups(
+        tmp_path, monkeypatch, key, value, attr, source):
+    built = []
+    build = otface.cli._build_trainer
+    monkeypatch.setattr(otface.cli, "_build_trainer",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    data = gen_dataset(tmp_path, per_class=10)
+    default = train_run(tmp_path, data, "default", epochs=2)
+    if source == "file":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mining": {key: value}}))
+        extra = ["--config", str(path)]
+    else:
+        extra = ["--set", f"mining.{key}={json.dumps(value)}"]
+    changed = train_run(tmp_path, data, "changed", epochs=2, extra=extra)
+    assert (built[0].mining_enabled, built[0].cap_per_anchor) == (True, None)
+    assert getattr(built[1], attr) == value
+    before, after = _hard_groups(default), _hard_groups(changed)
+    assert sum(after) < sum(before)
+    if key == "enabled":
+        assert after == [0, 0]
+
+
 def test_mine_subcommand_prints_groups(tmp_path, capsys):
     emb = tmp_path / "emb.csv"
     labels = tmp_path / "labels.csv"
@@ -317,7 +377,7 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
 
 BAD_VALUES = [
     ({"mining": {"enabled": "no"}}, [], "mining.enabled"),
-    ({"sinkhorn": {"include_entropy": "false"}}, [], "sinkhorn.include_entropy"),
+    ({"sinkhorn": {"include_entropy": False}}, [], "sinkhorn.include_entropy"),  # unknown key
     ({"trainer": {"epochs": "3"}}, [], "trainer.epochs"),
     ({"backbone": {"stage_channels": 16}}, [], "backbone.stage_channels"),
     ({}, ["trainer.epochs=abc"], "trainer.epochs"),
@@ -327,6 +387,8 @@ BAD_VALUES = [
     ({}, ["mining.enabled=false", "loss.hinge_margin=-1"], "loss.hinge_margin"),
     ({}, ["mining.enabled=false", "mining.cap_per_anchor=0"], "mining.cap_per_anchor"),
     ({}, ["loss.lambda_ot=-5"], "loss.lambda_ot"),
+    ({"loss": {"lambda_ot": float("nan")}}, [], "loss.lambda_ot"),
+    ({}, ["sinkhorn.epsilon=Infinity"], "sinkhorn.epsilon"),
     ({}, ["backbone.kernel_size=-1"], "kernel_size"),
     ({}, ["backbone.in_channels=0"], "in_channels"),
     ({}, ["backbone.embedding_dim=0"], "embedding_dim"),

@@ -218,21 +218,22 @@ def test_config_set_overrides_are_typed():
     cfg = load_config(None, [
         "trainer.epochs=5",
         "margin.scale=12.5",
-        "sinkhorn.include_entropy=true",
+        "mining.enabled=false",
         "trainer.lr_milestones=[2,4]",
         "mining.cap_per_anchor=3",
     ])
     assert cfg["trainer"]["epochs"] == 5
     assert cfg["margin"]["scale"] == 12.5
-    assert cfg["sinkhorn"]["include_entropy"] is True
+    assert cfg["mining"]["enabled"] is False
     assert cfg["trainer"]["lr_milestones"] == [2, 4]
     assert cfg["mining"]["cap_per_anchor"] == 3
 
 
 def test_solver_keys_training_never_reads_are_rejected():
+    # training has one OT value, so no key picks it
     for item in ("sinkhorn.max_iters=1", "sinkhorn.marginal_tol=1e-3",
-                 "sinkhorn.log_domain=true"):
-        with pytest.raises(ConfigurationError, match=item.split("=")[0]):
+                 "sinkhorn.log_domain=true", "sinkhorn.include_entropy=true"):
+        with pytest.raises(ConfigurationError, match=f"unknown config key '{item.split('=')[0]}'"):
             load_config(None, [item])
 
 
@@ -295,6 +296,22 @@ def test_every_key_rejects_a_wrong_type_from_set(key):
         load_config(None, [item])
 
 
+FLOAT_KEYS = [k for k, v in LEAVES.items()
+              if isinstance(v[0] if isinstance(v, list) else v, float)]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_rejects_a_non_finite_value(tmp_path, key, source, value):
+    raw = f"[{value}]" if isinstance(LEAVES[key], list) else value
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps(_nested(key, json.loads(raw))))
+    args = (doc,) if source == "file" else (None, [f"{key}={raw}"])
+    with pytest.raises(ConfigurationError, match=f"'{key}' must be finite"):
+        load_config(*args)
+
+
 @pytest.mark.parametrize("item,key", [
     ("mining.enabled=1", "mining.enabled"),
     ("trainer.epochs=3.0", "trainer.epochs"),
@@ -331,7 +348,6 @@ CHANGED = {
     "margin.variant": "additive_angular", "margin.scale": 16.0,
     "margin.margin": 0.5,
     "sinkhorn.epsilon": 0.1, "sinkhorn.unroll_iters": 15,
-    "sinkhorn.include_entropy": True,
     "trainer.batch_size": 6, "trainer.epochs": 30, "trainer.lr": 0.05,
     "trainer.momentum": 0.5, "trainer.weight_decay": 1e-3,
     "trainer.lr_milestones": [5, 20],

@@ -136,11 +136,12 @@ def test_ot_triplet_permutation_vs_orthogonal():
     orthogonal = Tensor(np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
     cfg = SinkhornConfig(epsilon=0.05, unroll_iters=30)
     dists = {0: anchor, 1: permuted, 2: orthogonal}
-    # OT(anchor, permuted) ~ 0, OT(anchor, orthogonal) = 1
+    # OT(anchor, permuted) ~ -eps (1 + log 2) on the permutation plan,
+    # OT(anchor, orthogonal) = 1 - eps (1 + 2 log 2) on the uniform plan
     assert ot_triplet_loss([HardGroup(0, 1, 2)], dists, cfg).item() == \
         pytest.approx(0.0, abs=1e-6)
     assert ot_triplet_loss([HardGroup(0, 2, 1)], dists, cfg).item() == \
-        pytest.approx(1.0, abs=1e-6)
+        pytest.approx(1.0 - 0.05 * math.log(2), abs=1e-6)
 
 
 def test_ot_triplet_is_nonnegative():

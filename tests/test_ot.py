@@ -148,6 +148,10 @@ def test_sinkhorn_input_validation():
         sinkhorn_log_domain(np.array([[-0.1, 0.0], [0.0, 0.0]]), cfg)
     with pytest.raises(Exception):
         SinkhornConfig(epsilon=0.0).validate()
+    for name in ("epsilon", "marginal_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+                sinkhorn_log_domain(np.zeros((2, 2)), SinkhornConfig(**{name: bad}))
     with pytest.raises(ConfigurationError, match="standard-domain solver"):
         SinkhornConfig(log_domain=False).validate()
 
@@ -162,12 +166,27 @@ def test_exact_ot_uniform_reference_cases():
         exact_ot_uniform(np.zeros((9, 9)))
 
 
-def test_ot_distance_self_is_near_zero():
+def test_ot_distance_of_a_sample_with_itself_is_its_diagonal_plan_objective():
+    # C = 1 - I, so P* is I / 3 up to exp(-1 / eps) and the objective is
+    # -eps * H(I / 3) = -eps * (1 + log 3), below the transport cost 0
     m = Tensor(np.eye(3))
     cfg = SinkhornConfig(epsilon=0.01, unroll_iters=30)
     value = ot_distance(m, m, cfg).item()
-    assert value < 1e-6
-    assert value <= cfg.epsilon * 3 * math.log(3)
+    assert value == pytest.approx(-cfg.epsilon * (1.0 + math.log(3)), abs=1e-12)
+
+
+def _cosine_cost(m1, m2):
+    r1 = m1 / np.linalg.norm(m1, axis=-1, keepdims=True)
+    r2 = m2 / np.linalg.norm(m2, axis=-1, keepdims=True)
+    return np.clip(1.0 - r1 @ np.swapaxes(r2, -1, -2), 0.0, 2.0)
+
+
+def _entropic_objective(cost, epsilon):
+    """<C, P> - epsilon * H(P) of the plan `sinkhorn_log_domain` converges
+    to 1e-12 for one cost; H(P) = -sum P (log P - 1)."""
+    plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=epsilon,
+                                                    marginal_tol=1e-12)).plan
+    return np.sum(cost * plan) + epsilon * np.sum(plan * (np.log(plan) - 1.0))
 
 
 def test_ot_distance_swap_symmetry():
@@ -181,15 +200,18 @@ def test_ot_distance_swap_symmetry():
 
 
 def test_ot_distance_matches_nondifferentiable_solver():
+    # the solver reports the plan's transport cost <C, P>; the node's value
+    # is that cost less epsilon times the plan's entropy
     rng = np.random.default_rng(13)
     m1, m2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     cfg = SinkhornConfig(epsilon=0.1, unroll_iters=200, marginal_tol=1e-12)
     value = ot_distance(Tensor(m1), Tensor(m2), cfg).item()
-    r1 = m1 / np.linalg.norm(m1, axis=1, keepdims=True)
-    r2 = m2 / np.linalg.norm(m2, axis=1, keepdims=True)
-    cost = np.clip(1.0 - r1 @ r2.T, 0.0, 2.0)
-    reference = sinkhorn_log_domain(cost, cfg).value
-    assert value == pytest.approx(reference, abs=1e-9)
+    cost = _cosine_cost(m1, m2)
+    solved = sinkhorn_log_domain(cost, cfg)
+    assert solved.value == pytest.approx(np.sum(cost * solved.plan), abs=1e-12)
+    entropy = -np.sum(solved.plan * (np.log(solved.plan) - 1.0))
+    assert entropy > 0.0
+    assert value == pytest.approx(solved.value - 0.1 * entropy, abs=1e-12)
 
 
 def test_ot_distance_gradient_matches_finite_differences():
@@ -206,38 +228,15 @@ def test_ot_distance_gradient_matches_finite_differences():
     assert rel_err(leaf.grad, numeric) < 1e-3
 
 
-def _cosine_cost(m1, m2):
-    r1 = m1 / np.linalg.norm(m1, axis=-1, keepdims=True)
-    r2 = m2 / np.linalg.norm(m2, axis=-1, keepdims=True)
-    return np.clip(1.0 - r1 @ np.swapaxes(r2, -1, -2), 0.0, 2.0)
-
-
-def test_ot_distance_entropy_flag():
-    rng = np.random.default_rng(15)
-    m1, m2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    plain_cfg = SinkhornConfig(epsilon=0.3, unroll_iters=100)
-    ent_cfg = SinkhornConfig(epsilon=0.3, unroll_iters=100, include_entropy=True)
-    plain = ot_distance(Tensor(m1), Tensor(m2), plain_cfg).item()
-    with_ent = ot_distance(Tensor(m1), Tensor(m2), ent_cfg).item()
-    cost = _cosine_cost(m1, m2)
-    plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.3,
-                                                    marginal_tol=1e-12)).plan
-    entropy = -np.sum(plan * (np.log(plan) - 1.0))
-    assert plain == pytest.approx(np.sum(cost * plan), abs=1e-12)
-    assert with_ent == pytest.approx(plain - 0.3 * entropy, abs=1e-12)
-
-
 def test_batched_ot_distance_equals_single_pair_calls():
     rng = np.random.default_rng(16)
     m1, m2 = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3))
-    for include_entropy in (False, True):
-        cfg = SinkhornConfig(epsilon=0.1, unroll_iters=20,
-                             include_entropy=include_entropy)
-        batched = ot_distance(Tensor(m1), Tensor(m2), cfg)
-        assert batched.shape == (5,)
-        singles = [ot_distance(Tensor(a), Tensor(b), cfg).item()
-                   for a, b in zip(m1, m2)]
-        assert np.max(np.abs(batched.data - singles)) < 1e-12
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=20)
+    batched = ot_distance(Tensor(m1), Tensor(m2), cfg)
+    assert batched.shape == (5,)
+    singles = [ot_distance(Tensor(a), Tensor(b), cfg).item()
+               for a, b in zip(m1, m2)]
+    assert np.max(np.abs(batched.data - singles)) < 1e-12
 
 
 def test_batched_ot_distance_gradient_matches_finite_differences():
@@ -274,11 +273,8 @@ def _tape_unroll(m1, m2, cfg):
         if np.max(np.abs((kernel_t.data @ u.data) * v.data - 1.0 / n)) < 1e-15:
             break
     plan = u * kernel * v.mT
-    value = (cost * plan).sum(axis=(-2, -1))
-    if cfg.include_entropy:
-        entropy = -(plan * ((plan + 1e-300).log() - 1.0)).sum(axis=(-2, -1))
-        value = value - entropy * cfg.epsilon
-    return value
+    entropy = -(plan * ((plan + 1e-300).log() - 1.0)).sum(axis=(-2, -1))
+    return (cost * plan).sum(axis=(-2, -1)) - entropy * cfg.epsilon
 
 
 def _value_and_grads(distance, a, b, cfg, weights):
@@ -288,21 +284,23 @@ def _value_and_grads(distance, a, b, cfg, weights):
     return value.data, t1.grad, t2.grad
 
 
-@pytest.mark.parametrize("include_entropy", [False, True])
+@pytest.mark.parametrize("repeated", [False, True])
 @pytest.mark.parametrize("unroll_iters", [1, 10, 50])
 @pytest.mark.parametrize("epsilon", [0.1, 0.3])
-def test_ot_distance_node_matches_tape_unroll(epsilon, unroll_iters, include_entropy):
-    # the node's value and implicit gradient are those of the converged
-    # unroll, whatever plain-iteration budget precedes Newton
-    cfg = SinkhornConfig(epsilon=epsilon, unroll_iters=unroll_iters,
-                         include_entropy=include_entropy)
+def test_ot_distance_node_matches_tape_unroll(epsilon, unroll_iters, repeated):
+    # the node's value and gradients are those of the converged unroll,
+    # whatever plain-iteration budget precedes Newton; `repeated` gives one
+    # side of each pair a repeated atom, on either side
+    cfg = SinkhornConfig(epsilon=epsilon, unroll_iters=unroll_iters)
     rng = np.random.default_rng(18)
     for shape in ((4, 3), (6, 5, 4), (3, 16, 16)):
         a, b = rng.normal(size=shape), rng.normal(size=shape)
-        repeated = a.copy()
-        repeated[..., 1, :] = repeated[..., 0, :]
         weights = rng.uniform(0.5, 1.5, size=shape[:-2])
-        for m1, m2 in ((a, b), (repeated, b), (b, repeated)):
+        cases = [(a, b)]
+        if repeated:
+            a[..., 1, :] = a[..., 0, :]
+            cases = [(a, b), (b, a)]
+        for m1, m2 in cases:
             value, g1, g2 = _value_and_grads(ot_distance, m1, m2, cfg, weights)
             ref_value, ref_g1, ref_g2 = _value_and_grads(_tape_unroll, m1, m2, cfg,
                                                          weights)
@@ -312,25 +310,28 @@ def test_ot_distance_node_matches_tape_unroll(epsilon, unroll_iters, include_ent
             assert rel_err(g2, ref_g2) < 1e-10
 
 
-@pytest.mark.parametrize("include_entropy", [False, True])
+@pytest.mark.parametrize("second", [False, True])
 @pytest.mark.parametrize("epsilon", [0.1, 0.02])
-def test_implicit_gradient_matches_central_differences(epsilon, include_entropy):
+def test_implicit_gradient_matches_central_differences(epsilon, second):
+    # the gradient with respect to the first distribution, or the second;
     # the B pairs are independent, so one perturbed entry per pair at a
     # time gives every pair's central difference from one batched call
     rng = np.random.default_rng(18)
-    m1, m2 = rng.normal(size=(3, 16, 16)), rng.normal(size=(3, 16, 16))
-    cfg = SinkhornConfig(epsilon=epsilon, unroll_iters=15,
-                         include_entropy=include_entropy)
-    leaf = Tensor(m1, requires_grad=True)
-    ot_distance(leaf, Tensor(m2), cfg).sum().backward()
+    x, other = rng.normal(size=(3, 16, 16)), Tensor(rng.normal(size=(3, 16, 16)))
+    cfg = SinkhornConfig(epsilon=epsilon, unroll_iters=15)
+
+    def values(t):
+        return ot_distance(*((other, t) if second else (t, other)), cfg)
+
+    leaf = Tensor(x, requires_grad=True)
+    values(leaf).sum().backward()
     h = 1e-5
-    numeric = np.empty_like(m1)
-    for i, j in np.ndindex(m1.shape[1:]):
-        hi, lo = m1.copy(), m1.copy()
+    numeric = np.empty_like(x)
+    for i, j in np.ndindex(x.shape[1:]):
+        hi, lo = x.copy(), x.copy()
         hi[:, i, j] += h
         lo[:, i, j] -= h
-        numeric[:, i, j] = (ot_distance(Tensor(hi), Tensor(m2), cfg).data
-                            - ot_distance(Tensor(lo), Tensor(m2), cfg).data) / (2 * h)
+        numeric[:, i, j] = (values(Tensor(hi)).data - values(Tensor(lo)).data) / (2 * h)
     assert np.max(np.abs(leaf.grad - numeric)) < 1e-6 * np.max(np.abs(leaf.grad))
 
 
@@ -342,9 +343,7 @@ def test_ot_distance_equals_the_converged_solver_per_pair(n):
     leaf = Tensor(m1, requires_grad=True)
     values = ot_distance(leaf, Tensor(m2), cfg)
     for value, cost in zip(values.data, _cosine_cost(m1, m2)):
-        plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.1,
-                                                        marginal_tol=1e-12))
-        assert value == pytest.approx(plan.value, rel=1e-10, abs=1e-12)
+        assert value == pytest.approx(_entropic_objective(cost, 0.1), rel=1e-10, abs=1e-12)
     values.sum().backward()
     numeric = numeric_grad(
         lambda arr: ot_distance(Tensor(arr), Tensor(m2), cfg).data.sum(), m1.copy())
@@ -360,8 +359,11 @@ def test_ot_distance_converges_where_the_gibbs_kernel_underflows():
     leaf = Tensor(m1, requires_grad=True)
     value = ot_distance(leaf, Tensor(m2), SinkhornConfig(epsilon=1e-4))
     value.backward()
-    exact = exact_ot_uniform(cost)
-    assert exact - 1e-12 <= value.item() < exact + 1e-3
+    # exact - eps H(P) with the entropy H = -sum P (log P - 1) between that
+    # of a permutation, 1 + log n, and that of the uniform plan, 1 + 2 log n
+    exact, eps, n = exact_ot_uniform(cost), 1e-4, 4
+    assert exact - eps * (1 + 2 * math.log(n)) - 1e-12 <= value.item()
+    assert value.item() <= exact - eps * (1 + math.log(n)) + 1e-12
     assert np.isfinite(leaf.grad).all()
 
 
