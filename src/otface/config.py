@@ -8,8 +8,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 import os
+import sys
 from pathlib import Path
 
 from .backbone import BackboneConfig
@@ -53,8 +53,8 @@ def _is(value, kind: type) -> bool:
 
 def _typed(path: str, value, default):
     """`value` if it has the type of `default`, lists element by element (an int
-    for a float key becomes a float) and floats finite; else a
-    ConfigurationError naming `path`."""
+    for a float key becomes a float) and floats finite, ints for them within
+    float range; else a ConfigurationError naming `path`."""
     if value is None and path in _OPTIONAL:
         return None
     kind = _OPTIONAL.get(path, type(default))
@@ -62,7 +62,9 @@ def _typed(path: str, value, default):
     if not _is(value, kind) or item and not all(_is(v, item) for v in value):
         want = kind.__name__ + (f" of {item.__name__}" if item else "")
         raise ConfigurationError(f"config key {path!r} must be {want}, got {value!r}")
-    if float in (kind, item) and not all(map(math.isfinite, value if item else (value,))):
+    # NaN fails the comparison, and ints compare exactly, so none overflows
+    if float in (kind, item) and not all(abs(v) <= sys.float_info.max
+                                         for v in (value if item else (value,))):
         raise ConfigurationError(f"config key {path!r} must be finite, got {value!r}")
     return float(value) if kind is float else value
 

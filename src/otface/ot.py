@@ -210,8 +210,9 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
     The top level, max(eps, 1, C.max() / 10), keeps C / eps within the
     factor each later level adds; levels above `eps` stop at `COARSE_TOL`.
     `budget` caps each problem's plain iterations over all levels; Newton
-    polishes those left above `tol`. Returns the plans, their violations and
-    the iterations (plain plus Newton).
+    polishes those left above `tol`. Returns the plans, their violations,
+    the iterations (plain plus Newton) and which problems spent their budget
+    before the target level, so Newton started from a coarser level's plan.
     """
     levels = []
     level = max(eps, 1.0, float(cost.max()) / 10.0)
@@ -224,6 +225,7 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
         f, g, violation, used = _plain(cost, level, f, COARSE_TOL if level > eps else tol,
                                        budget - iters)
         iters += used
+    short = np.isinf(violation)  # no plain iteration ran at `eps`
     plan = np.exp((f + g - cost) / eps)
     # a budget spent before the target level can leave rows that underflow
     # there, which Newton cannot normalise; they stay unconverged
@@ -232,7 +234,7 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
     if stuck.size:
         plan[stuck], violation[stuck], steps = _newton(plan[stuck], min(tol, POLISH_TOL))
         iters[stuck] += steps
-    return plan, violation, iters
+    return plan, violation, iters, short
 
 
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
@@ -240,8 +242,8 @@ def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     plain iterations over all ladder levels `cfg.max_iters` caps."""
     cfg.validate()
     cost = _check_cost(cost)
-    plan, violation, iters = _solve(cost[None], cfg.epsilon, cfg.marginal_tol,
-                                    cfg.max_iters)
+    plan, violation, iters, _ = _solve(cost[None], cfg.epsilon, cfg.marginal_tol,
+                                       cfg.max_iters)
     return TransportPlan(
         plan=plan[0],
         value=float((cost * plan[0]).sum()),
@@ -279,7 +281,8 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     converged plan P* for the cosine cost C built on the tape. P* minimises
     that objective, so by the envelope theorem (Cuturi 2013) its gradient
     with respect to C is P* and the backward needs no solve. A pair Newton
-    leaves above `POLISH_TOL` raises.
+    leaves above `POLISH_TOL` raises, naming `sinkhorn.unroll_iters` if that
+    budget ran out before the ladder reached epsilon.
     """
     cfg.validate()
     m1, m2 = as_tensor(m1), as_tensor(m2)
@@ -291,19 +294,20 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
     stack = cost.data.reshape((-1,) + cost.shape[-2:])
     eps = cfg.epsilon
-    plan, violation, _ = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
-    stuck = np.flatnonzero(violation > POLISH_TOL)
-    if stuck.size:
-        raise NumericalRegimeError(
-            f"OT pairs {stuck.tolist()} did not converge at epsilon={eps}: "
-            f"marginal violation {violation[stuck].max():.2e} after Newton")
+    plan, violation, _, short = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
+    stuck = violation > POLISH_TOL
+    if stuck.any():
+        newton = stuck & ~short
+        reasons = ((newton, f"marginal violation {violation[newton].max(initial=0):.2e} after Newton"),
+                   (stuck & short, f"the budget sinkhorn.unroll_iters={cfg.unroll_iters} ran out "
+                                   "before reaching epsilon"))
+        raise NumericalRegimeError("; ".join(
+            f"OT pairs {np.flatnonzero(pairs).tolist()} did not converge at epsilon={eps}: {why}"
+            for pairs, why in reasons if pairs.any()))
     ones = np.ones(stack.shape[-1])
     # -epsilon * H(P) = epsilon * sum P (log P - 1), with 0 log 0 = 0
     log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
     value = (stack * plan) @ ones @ ones + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
-    out = Tensor._make(value.reshape(cost.shape[:-2]), (cost,))
-    if out.requires_grad:
-        def _bw(out_grad):
-            cost._accum((np.reshape(out_grad, (-1, 1, 1)) * plan).reshape(cost.shape))
-        out._backward = _bw
-    return out
+    def _bw(out_grad):
+        cost._accum((np.reshape(out_grad, (-1, 1, 1)) * plan).reshape(cost.shape))
+    return Tensor._make(value.reshape(cost.shape[:-2]), (cost,), _bw)

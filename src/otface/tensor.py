@@ -2,8 +2,11 @@
 
 The op set is deliberately small and closed: elementwise arithmetic,
 batched matmul, conv2d, relu, exp/log/sqrt/cos, arccos (guarded),
-reductions, reshape/transpose, gather, stack and clip. Every op records a
-backward closure that receives its output's gradient; calling
+reductions, reshape/transpose, gather, stack and clip. Every op builds its
+node with ``Tensor._make(data, prev, backward)``, which keeps the inputs and
+the backward closure (it receives the output's gradient) only when some
+input requires a gradient. State only a backward needs, such as masks and
+scatter indices, is computed in the closure when it runs. Calling
 ``backward()`` on a scalar replays the graph in reverse topological order
 and accumulates gradients into the leaves. Closures capture input tensors
 and arrays, never their own output, so a tape is freed by reference
@@ -80,13 +83,14 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     @classmethod
-    def _make(cls, data: np.ndarray, prev: tuple["Tensor", ...]) -> "Tensor":
+    def _make(cls, data: np.ndarray, prev: tuple["Tensor", ...], backward=None) -> "Tensor":
+        """The one node constructor: records `prev` and `backward` only if taped."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in prev)
-        out._prev = prev if out.requires_grad else ()
-        out._backward = None
+        out.requires_grad = taped = any(p.requires_grad for p in prev)
+        out._prev = prev if taped else ()
+        out._backward = backward if taped else None
         return out
 
     def _accum(self, g: np.ndarray) -> None:
@@ -140,21 +144,15 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = Tensor._make(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(g, other.data.shape))
-            out._backward = _bw
-        return out
+        def _bw(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g, other.data.shape))
+        return Tensor._make(self.data + other.data, (self, other), _bw)
 
     def __neg__(self) -> "Tensor":
-        out = Tensor._make(-self.data, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(-g)
-        return out
+        return Tensor._make(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
@@ -164,28 +162,22 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = Tensor._make(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = _bw
-        return out
+        def _bw(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
+        return Tensor._make(self.data * other.data, (self, other), _bw)
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = Tensor._make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    g_other = -g * self.data / (other.data * other.data)
-                    other._accum(_unbroadcast(g_other, other.data.shape))
-            out._backward = _bw
-        return out
+        def _bw(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g / other.data, self.data.shape))
+            if other.requires_grad:
+                g_other = -g * self.data / (other.data * other.data)
+                other._accum(_unbroadcast(g_other, other.data.shape))
+        return Tensor._make(self.data / other.data, (self, other), _bw)
 
     # -- linear algebra ---------------------------------------------------
 
@@ -200,60 +192,46 @@ class Tensor:
                 f"matmul requires operands of equal rank >= 2 with equal batch "
                 f"axes and matching inner dims, got {a.shape} and {b.shape}"
             )
-        out = Tensor._make(a @ b, (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g @ b.mT)
-                if other.requires_grad:
-                    other._accum(a.mT @ g)
-            out._backward = _bw
-        return out
+        def _bw(g):
+            if self.requires_grad:
+                self._accum(g @ b.mT)
+            if other.requires_grad:
+                other._accum(a.mT @ g)
+        return Tensor._make(a @ b, (self, other), _bw)
 
     @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
         if self.data.ndim < 2:
             raise ShapeMismatchError(f"mT expects >= 2 axes, got {self.data.shape}")
-        out = Tensor._make(self.data.mT, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g.mT)
-        return out
+        return Tensor._make(self.data.mT, (self,), lambda g: self._accum(g.mT))
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor._make(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
-        return out
+        return Tensor._make(self.data.reshape(shape), (self,),
+                            lambda g: self._accum(g.reshape(self.data.shape)))
 
     def gather(self, indices) -> "Tensor":
         """Rows at `indices`; backward adds each cell's gradients in index order."""
         idx = np.asarray(indices, dtype=np.intp)
-        out = Tensor._make(np.take(self.data, idx, axis=0), (self,))
-        if out.requires_grad:
+        def _bw(g):
             width = self.data[0].size
             cells = (idx.reshape(-1, 1) % len(self.data) * width + np.arange(width)).ravel()
-            def _bw(g):
-                full = np.bincount(cells, weights=g.ravel(), minlength=self.data.size)
-                self._accum(full.reshape(self.data.shape))
-            out._backward = _bw
-        return out
+            full = np.bincount(cells, weights=g.ravel(), minlength=self.data.size)
+            self._accum(full.reshape(self.data.shape))
+        return Tensor._make(np.take(self.data, idx, axis=0), (self,), _bw)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def _bw(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            out._backward = _bw
-        return out
+        def _bw(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape).copy())
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else np.prod(
@@ -265,47 +243,30 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         value = np.exp(self.data)
-        out = Tensor._make(value, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g * value)
-        return out
+        return Tensor._make(value, (self,), lambda g: self._accum(g * value))
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):
             raise DegenerateInputError("log requires strictly positive entries")
-        out = Tensor._make(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g / self.data)
-        return out
+        return Tensor._make(np.log(self.data), (self,), lambda g: self._accum(g / self.data))
 
     def sqrt(self) -> "Tensor":
         if np.any(self.data < 0.0):
             raise DegenerateInputError("sqrt requires nonnegative entries")
         value = np.sqrt(self.data)
-        out = Tensor._make(value, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g * 0.5 / value)
-        return out
+        return Tensor._make(value, (self,), lambda g: self._accum(g * 0.5 / value))
 
     def relu(self) -> "Tensor":
-        out = Tensor._make(np.maximum(self.data, 0.0), (self,))
-        if out.requires_grad:
-            mask = self.data > 0.0
-            out._backward = lambda g: self._accum(g * mask)
-        return out
+        return Tensor._make(np.maximum(self.data, 0.0), (self,),
+                            lambda g: self._accum(g * (self.data > 0.0)))
 
     def cos(self) -> "Tensor":
-        out = Tensor._make(np.cos(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(-g * np.sin(self.data))
-        return out
+        return Tensor._make(np.cos(self.data), (self,),
+                            lambda g: self._accum(-g * np.sin(self.data)))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        out = Tensor._make(np.clip(self.data, lo, hi), (self,))
-        if out.requires_grad:
-            mask = (self.data >= lo) & (self.data <= hi)
-            out._backward = lambda g: self._accum(g * mask)
-        return out
+        return Tensor._make(np.clip(self.data, lo, hi), (self,),
+                            lambda g: self._accum(g * ((self.data >= lo) & (self.data <= hi))))
 
     def arccos(self) -> "Tensor":
         """arccos with input clamped to [-1, 1] and a capped derivative.
@@ -316,11 +277,9 @@ class Tensor:
         weight).
         """
         clamped = np.clip(self.data, -1.0, 1.0)
-        out = Tensor._make(np.arccos(clamped), (self,))
-        if out.requires_grad:
-            denom = np.sqrt(np.maximum(1.0 - clamped * clamped, _ARCCOS_GRAD_FLOOR))
-            out._backward = lambda g: self._accum(-g / denom)
-        return out
+        def _bw(g):
+            self._accum(-g / np.sqrt(np.maximum(1.0 - clamped * clamped, _ARCCOS_GRAD_FLOOR)))
+        return Tensor._make(np.arccos(clamped), (self,), _bw)
 
 
 def as_tensor(x) -> Tensor:
@@ -332,14 +291,11 @@ def as_tensor(x) -> Tensor:
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Join equally shaped tensors along a new leading axis."""
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor._make(np.stack([t.data for t in tensors]), tuple(tensors))
-    if out.requires_grad:
-        def _bw(g):
-            for t, g_t in zip(tensors, g):
-                if t.requires_grad:
-                    t._accum(g_t)
-        out._backward = _bw
-    return out
+    def _bw(g):
+        for t, g_t in zip(tensors, g):
+            if t.requires_grad:
+                t._accum(g_t)
+    return Tensor._make(np.stack([t.data for t in tensors]), tuple(tensors), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +386,14 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     wmat = kernels.data.reshape(c_out, -1)
     out_data = (wmat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
 
-    out = Tensor._make(out_data, (x, kernels))
-    if out.requires_grad:
-        def _bw(g):
-            g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * out_h * out_w)
-            if kernels.requires_grad:
-                kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
-            if x.requires_grad:
-                x._accum(_conv_input_grad(g2, kernels.data, x.data.shape, stride,
-                                          padding, out_h, out_w))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * out_h * out_w)
+        if kernels.requires_grad:
+            kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
+        if x.requires_grad:
+            x._accum(_conv_input_grad(g2, kernels.data, x.data.shape, stride,
+                                      padding, out_h, out_w))
+    return Tensor._make(out_data, (x, kernels), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,8 @@ FLOAT_KEYS = [k for k, v in LEAVES.items()
               if isinstance(v[0] if isinstance(v, list) else v, float)]
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+# the last value is an int that no float can hold
+@pytest.mark.parametrize("value", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="1e400")])
 @pytest.mark.parametrize("source", ["file", "set"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_every_float_key_rejects_a_non_finite_value(tmp_path, key, source, value):

@@ -6,10 +6,12 @@ from otface import (
     ContractError,
     DegenerateInputError,
     ShapeMismatchError,
+    SinkhornConfig,
     Tensor,
     conv2d,
     normalize_cols,
     normalize_rows,
+    ot_distance,
     stack,
 )
 
@@ -106,6 +108,7 @@ _OP_CASES = {
     "sqrt": lambda t, c: (t * t + 1.0).sqrt().sum(),
     "cos": lambda t, c: t.cos().sum(),
     "clip": lambda t, c: (t * 0.3).clip(-0.5, 0.5).sum(),
+    "relu": lambda t, c: (t * c).relu().sum(),
     "arccos": lambda t, c: (t * 0.5).arccos().sum(),
     "reshape": lambda t, c: (t.reshape(-1) * t.reshape(-1)).sum(),
     "transpose": lambda t, c: (t.mT @ c).sum(),
@@ -128,6 +131,61 @@ def test_op_gradients_match_finite_differences(name):
         x0 = rng.uniform(-1.0, 1.0, size=(3, 3))
         const = Tensor(rng.uniform(-1.0, 1.0, size=(3, 3)))
         check_grad(lambda t: op(t, const), x0, tol=1e-4)
+
+
+# nodes that no scenario above builds, each from one call
+_NODE_CASES = {
+    "conv2d": lambda t, c: conv2d(t.reshape(1, 1, 3, 3), c.reshape(1, 1, 3, 3), padding=1),
+    "stack": lambda t, c: stack([t, c]),
+    "ot_distance": lambda t, c: ot_distance(t, c, SinkhornConfig(epsilon=0.1)),
+}
+_ALL_CASES = {**_OP_CASES, **_NODE_CASES}
+
+
+def _spy_on_make(monkeypatch):
+    """(node, prev, backward) of every node `Tensor._make` builds from now on."""
+    made, make = [], Tensor._make
+    def spy(data, prev, backward=None):
+        made.append((make(data, prev, backward), prev, backward))
+        return made[-1][0]
+    monkeypatch.setattr(Tensor, "_make", spy)
+    return made
+
+
+def _case_inputs():
+    rng = np.random.default_rng(5)
+    return rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_CASES))
+def test_constant_inputs_leave_no_tape(monkeypatch, name):
+    made = _spy_on_make(monkeypatch)
+    x0, c0 = _case_inputs()
+    out = _ALL_CASES[name](Tensor(x0), Tensor(c0))
+    assert made[-1][0] is out
+    for node, _, _ in made:
+        assert not node.requires_grad
+        assert node._prev == () and node._backward is None
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_CASES))
+def test_one_grad_input_records_exactly_its_inputs(monkeypatch, name):
+    made = _spy_on_make(monkeypatch)
+    x0, c0 = _case_inputs()
+    leaf = Tensor(x0, requires_grad=True)
+    out = _ALL_CASES[name](leaf, Tensor(c0))
+    assert made[-1][0] is out and out.requires_grad
+    for node, prev, backward in made:
+        if any(p.requires_grad for p in prev):
+            assert node._prev is prev and node._backward is backward is not None
+        else:
+            assert node._prev == () and node._backward is None
+    reached, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        reached.add(id(node))
+        todo.extend(p for p in node._prev if id(p) not in reached)
+    assert id(leaf) in reached
 
 
 def _sum_sq(t):
