@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ot_sub.add_parser("solve", help="solve entropic OT for a cost CSV")
     q.add_argument("--cost", required=True)
     q.add_argument("--epsilon", type=float, required=True)
-    q.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters)
+    q.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters,
+                   help="plain Sinkhorn iterations per level of the epsilon ladder")
     q.add_argument("--tol", type=float, default=SinkhornConfig.marginal_tol)
     q.set_defaults(func=cmd_ot_solve)
 

@@ -130,11 +130,12 @@ def load_config(path: Path | None = None,
     env_seed = os.environ.get("OTFACE_SEED")
     if env_seed is not None:
         try:
-            cfg["trainer"]["seed"] = int(env_seed)
+            seed = int(env_seed)
         except ValueError:
-            raise ConfigurationError(
-                f"OTFACE_SEED must be an integer, got {env_seed!r}"
-            ) from None
+            seed = -1
+        if seed < 0:
+            raise ConfigurationError(f"OTFACE_SEED must be an integer >= 0, got {env_seed!r}")
+        cfg["trainer"]["seed"] = seed
     return cfg
 
 

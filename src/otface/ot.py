@@ -29,11 +29,11 @@ class SinkhornConfig:
     """Solver knobs; epsilon defaults to 1% of the max cosine-distance (2)."""
 
     epsilon: float = 0.02
-    max_iters: int = 200
+    max_iters: int = 200  # plain iterations per ladder level, `sinkhorn_log_domain`
     marginal_tol: float = 1e-6
     # Only the log-domain solver exists; False is rejected.
     log_domain: bool = True
-    # Plain-iteration budget of `ot_distance` before Newton polishes it.
+    # Plain iterations per ladder level of `ot_distance`, before Newton.
     unroll_iters: int = 50
 
     def validate(self) -> "SinkhornConfig":
@@ -52,8 +52,8 @@ class TransportPlan:
     """Coupling matrix with solver diagnostics.
 
     `iterations_used` counts the plain scaling iterations of every level
-    of the epsilon ladder, which `max_iters` caps, plus the Newton steps
-    that followed them.
+    of the epsilon ladder, `max_iters` at most per level, plus the Newton
+    steps that followed them.
     """
 
     plan: np.ndarray
@@ -96,7 +96,7 @@ SCHUR_JITTER = 1e-13
 
 
 def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
-           budget: np.ndarray) -> tuple[np.ndarray, ...]:
+           budget: int) -> tuple[np.ndarray, ...]:
     """Alternating updates at `eps` on a (B, n, n) cost stack from row
     potentials `f` (B, n, 1), in cost units.
 
@@ -104,9 +104,8 @@ def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
     `f` implies, stays normal at every level of the ladder, so the updates
     run on scalings. A problem stops when its violation reaches `tol`,
     stops halving over `STALL_WINDOW` iterations, or, at the rate seen over
-    that window, cannot reach `tol` within its `budget` of iterations.
-    Returns f, g (B, 1, n), the violations (inf where no iteration ran) and
-    the iterations run.
+    that window, cannot reach `tol` within `budget` iterations. Returns f,
+    g (B, 1, n), the violations and the iterations run.
     """
     r = 1.0 / cost.shape[-1]
     kernel = (f - cost) / eps
@@ -116,30 +115,26 @@ def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
     g = eps * (np.log(scale) - top)
     kernel *= scale  # exp((f + g - C) / eps); every column sums to r
     u, v = np.ones_like(f), np.ones_like(f)
-    violation = np.full(len(cost), np.inf)
+    violation = np.empty(len(cost))
     iters = np.zeros(len(cost), dtype=np.int64)
     window = STALL_WINDOW
     history = np.empty((window + 1, len(cost)))
-    active = np.flatnonzero(budget > 0)
-    k, uk, left = kernel[active], u[active], budget[active]
-    kt, horizon, left_min = k.mT, left / window, left.min(initial=0)
+    active, k, kt, uk = np.arange(len(cost)), kernel, kernel.mT, u
     # column sums of the plan are v_j (K^T u)_j once u has been updated
     ktu = kt @ uk
     t = 0
-    while active.size:
+    while True:
         t += 1
         vk = r / ktu
         uk = r / (k @ vk)
         ktu = kt @ uk
         viol = np.abs(vk * ktu - r).max(axis=1)[:, 0]
         history[t % (window + 1), active] = viol
-        stop = viol <= tol
-        if t >= left_min:
-            stop |= left <= t
+        stop = (viol <= tol) | (t >= budget)
         if t > window:
             rate = viol / history[(t - window) % (window + 1), active]
             stop |= rate > 0.5
-            stop |= viol * rate ** (horizon - t / window) > tol
+            stop |= viol * rate ** ((budget - t) / window) > tol
         if stop.any():
             done = active[stop]
             u[done], v[done] = uk[stop], vk[stop]
@@ -147,8 +142,8 @@ def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
             if stop.all():
                 break
             keep = ~stop
-            active, k, uk, ktu, left = (a[keep] for a in (active, k, uk, ktu, left))
-            kt, horizon, left_min = k.mT, left / window, left.min(initial=0)
+            active, k, uk, ktu = (a[keep] for a in (active, k, uk, ktu))
+            kt = k.mT
     return f + eps * np.log(u), g + eps * np.log(v).mT, violation, iters
 
 
@@ -209,10 +204,9 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
     since a cold start at small epsilon can lock onto an infeasible support.
     The top level, max(eps, 1, C.max() / 10), keeps C / eps within the
     factor each later level adds; levels above `eps` stop at `COARSE_TOL`.
-    `budget` caps each problem's plain iterations over all levels; Newton
-    polishes those left above `tol`. Returns the plans, their violations,
-    the iterations (plain plus Newton) and which problems spent their budget
-    before the target level, so Newton started from a coarser level's plan.
+    `budget` caps the plain iterations of each level, so every problem runs
+    at least one at `eps`; Newton polishes those left above `tol`. Returns
+    the plans, their violations and the iterations (plain plus Newton).
     """
     levels = []
     level = max(eps, 1.0, float(cost.max()) / 10.0)
@@ -222,28 +216,23 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
     f = np.zeros(cost.shape[:-1] + (1,))
     iters = np.zeros(len(cost), dtype=np.int64)
     for level in levels + [eps]:
-        f, g, violation, used = _plain(cost, level, f, COARSE_TOL if level > eps else tol,
-                                       budget - iters)
+        f, g, violation, used = _plain(cost, level, f,
+                                       COARSE_TOL if level > eps else tol, budget)
         iters += used
-    short = np.isinf(violation)  # no plain iteration ran at `eps`
     plan = np.exp((f + g - cost) / eps)
-    # a budget spent before the target level can leave rows that underflow
-    # there, which Newton cannot normalise; they stay unconverged
-    normal = (plan.sum(axis=-1) > np.finfo(float).tiny).all(axis=-1)
-    stuck = np.flatnonzero((violation > tol) & normal)
+    stuck = np.flatnonzero(violation > tol)
     if stuck.size:
         plan[stuck], violation[stuck], steps = _newton(plan[stuck], min(tol, POLISH_TOL))
         iters[stuck] += steps
-    return plan, violation, iters, short
+    return plan, violation, iters
 
 
 def sinkhorn_log_domain(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     """Entropic OT plan of one (n, n) cost: `_solve` with B = 1, whose
-    plain iterations over all ladder levels `cfg.max_iters` caps."""
+    plain iterations at each ladder level `cfg.max_iters` caps."""
     cfg.validate()
     cost = _check_cost(cost)
-    plan, violation, iters, _ = _solve(cost[None], cfg.epsilon, cfg.marginal_tol,
-                                       cfg.max_iters)
+    plan, violation, iters = _solve(cost[None], cfg.epsilon, cfg.marginal_tol, cfg.max_iters)
     return TransportPlan(
         plan=plan[0],
         value=float((cost * plan[0]).sum()),
@@ -281,8 +270,7 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     converged plan P* for the cosine cost C built on the tape. P* minimises
     that objective, so by the envelope theorem (Cuturi 2013) its gradient
     with respect to C is P* and the backward needs no solve. A pair Newton
-    leaves above `POLISH_TOL` raises, naming `sinkhorn.unroll_iters` if that
-    budget ran out before the ladder reached epsilon.
+    leaves above `POLISH_TOL` raises.
     """
     cfg.validate()
     m1, m2 = as_tensor(m1), as_tensor(m2)
@@ -294,16 +282,12 @@ def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
     cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
     stack = cost.data.reshape((-1,) + cost.shape[-2:])
     eps = cfg.epsilon
-    plan, violation, _, short = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
+    plan, violation, _ = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
     stuck = violation > POLISH_TOL
     if stuck.any():
-        newton = stuck & ~short
-        reasons = ((newton, f"marginal violation {violation[newton].max(initial=0):.2e} after Newton"),
-                   (stuck & short, f"the budget sinkhorn.unroll_iters={cfg.unroll_iters} ran out "
-                                   "before reaching epsilon"))
-        raise NumericalRegimeError("; ".join(
-            f"OT pairs {np.flatnonzero(pairs).tolist()} did not converge at epsilon={eps}: {why}"
-            for pairs, why in reasons if pairs.any()))
+        raise NumericalRegimeError(
+            f"OT pairs {np.flatnonzero(stuck).tolist()} did not converge at epsilon={eps}: "
+            f"marginal violation {violation.max():.2e} after Newton")
     ones = np.ones(stack.shape[-1])
     # -epsilon * H(P) = epsilon * sum P (log P - 1), with 0 log 0 = 0
     log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)

@@ -48,6 +48,8 @@ class TrainConfig:
         if self.batch_size != pk:
             raise ConfigurationError(f"batch_size {self.batch_size} must equal "
                                      f"sampler_p * sampler_k = {pk}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

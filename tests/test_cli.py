@@ -10,7 +10,7 @@ import otface.config
 import otface.trainer
 from otface.backbone import BackboneConfig, embed, init_params
 from otface.cli import main
-from otface.data import DatasetManifest, load_dataset, save_checkpoint
+from otface.data import DatasetManifest, load_checkpoint, load_dataset, save_checkpoint
 from otface.evaluation import kfold_accuracy, make_pairs, pair_scores
 
 
@@ -384,6 +384,7 @@ BAD_VALUES = [
     ({}, ["trainer.lr_milestones=[1"], "trainer.lr_milestones"),
     ({}, ["trainer.checkpoint_every=-1"], "trainer.checkpoint_every"),
     ({}, ["trainer.batch_size=64"], "batch_size"),
+    ({}, ["trainer.seed=-1"], "seed"),
     ({}, ["mining.enabled=false", "loss.hinge_margin=-1"], "loss.hinge_margin"),
     ({}, ["mining.enabled=false", "mining.cap_per_anchor=0"], "mining.cap_per_anchor"),
     ({}, ["loss.lambda_ot=-5"], "loss.lambda_ot"),
@@ -415,6 +416,50 @@ def test_train_rejects_bad_config_values_naming_the_key(tmp_path, capsys, doc, s
 def test_train_without_manifest_exits_nonzero(tmp_path, capsys):
     assert run_cli("train", "--out", str(tmp_path / "x")) == 2
     assert "data.manifest" in capsys.readouterr().err
+
+
+def test_data_manifest_picks_the_dataset_trained_on(tmp_path, capsys):
+    # the margin head has one column per class of the dataset trained on
+    data3 = gen_dataset(tmp_path / "three", classes=3)
+    data4 = gen_dataset(tmp_path / "four", classes=4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data": {"manifest": str(data3)}}))
+    base = ["--set", "trainer.epochs=1", "--set", "trainer.lr_milestones=[]", *TINY_TRAIN_ARGS]
+    for name, argv, classes in (
+            ("file", ["--config", str(path)], 3),
+            ("set", ["--config", str(path), "--set", f"data.manifest={data4}"], 4)):
+        assert run_cli("train", "--out", str(tmp_path / name), *argv, *base) == 0
+        params = load_checkpoint(tmp_path / name / "checkpoint.npz")[0]
+        assert params["classifier.weight"].shape == (5, classes)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_cli("train", "--out", str(tmp_path / "none"),
+                   "--set", f"data.manifest={empty}", *base) == 2
+    assert capsys.readouterr().err == f"error: no manifest.json under {empty}\n"
+
+
+def test_negative_env_seed_exits_with_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OTFACE_SEED", "-1")
+    assert run_cli("train", "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == "error: OTFACE_SEED must be an integer >= 0, got '-1'\n"
+
+
+# A plain-iteration budget beyond the int64 range, which a budget array
+# could not hold, caps nothing the solver ever reaches.
+def test_ot_solve_runs_with_a_budget_beyond_int64(tmp_path, capsys):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0.0,1.0,0.5\n0.7,0.0,0.2\n0.3,0.9,0.0\n")
+    assert run_cli("ot", "solve", "--cost", str(cost), "--epsilon", "0.1",
+                   "--max-iters", str(10 ** 21)) == 0
+    assert "converged: True" in capsys.readouterr().out
+
+
+def test_train_runs_with_a_budget_beyond_int64(tmp_path):
+    data = gen_dataset(tmp_path)
+    out = train_run(tmp_path, data, "run",
+                    extra=["--set", f"sinkhorn.unroll_iters={10 ** 21}"])
+    header, row = (out / "metrics.csv").read_text().splitlines()
+    assert int(row.split(",")[4]) > 0  # hard groups, so the OT term ran
 
 
 def test_checkpoint_every_writes_intermediate_checkpoints(tmp_path):

@@ -240,9 +240,10 @@ def test_solver_keys_training_never_reads_are_rejected():
 def test_env_seed_override(monkeypatch):
     monkeypatch.setenv("OTFACE_SEED", "77")
     assert load_config()["trainer"]["seed"] == 77
-    monkeypatch.setenv("OTFACE_SEED", "nope")
-    with pytest.raises(ConfigurationError, match="OTFACE_SEED"):
-        load_config()
+    for bad in ("nope", "-1"):
+        monkeypatch.setenv("OTFACE_SEED", bad)
+        with pytest.raises(ConfigurationError, match="OTFACE_SEED must be an integer >= 0"):
+            load_config()
 
 
 def test_config_malformed_json_reports_line(tmp_path):

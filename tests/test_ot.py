@@ -390,49 +390,43 @@ def test_unconverged_pairs_are_named_once_per_reason(monkeypatch):
     m1, m2 = np.random.default_rng(0).normal(size=(2, 3, 6, 4))
     with pytest.raises(NumericalRegimeError) as info:
         ot_distance(Tensor(m1), Tensor(m2), SinkhornConfig(epsilon=0.02, unroll_iters=5))
-    assert re.fullmatch(
-        r"OT pairs \[1\] did not converge at epsilon=0.02: marginal violation \S+ after Newton; "
-        r"OT pairs \[0, 2\] did not converge at epsilon=0.02: the budget "
-        r"sinkhorn.unroll_iters=5 ran out before reaching epsilon", str(info.value))
+    assert re.fullmatch(r"OT pairs \[0, 1, 2\] did not converge at epsilon=0.02: "
+                        r"marginal violation \S+ after Newton", str(info.value))
 
 
-# Random (3, n <= 16, d <= 16) stacks, seeds 0-29: how many raise at each
-# small epsilon and budget because the budget ran out above epsilon, and
-# how many because Newton failed.
-@pytest.mark.parametrize("eps,budget,spent_stacks,newton_stacks", [
-    (1e-4, 15, 16, 0), (1e-4, 50, 2, 0), (1e-3, 15, 8, 0), (1e-3, 50, 0, 4),
+# Random (3, n <= 16, d <= 16) stacks, seeds 0-29: every level of the
+# ladder gets the whole budget, so every pair reaches epsilon, and a stack
+# that raises does so because Newton left a pair above tolerance.
+@pytest.mark.parametrize("eps,budget,raising_stacks", [
+    (1e-4, 15, 6), (1e-4, 50, 2), (1e-3, 15, 6), (1e-3, 50, 4),
 ])
-def test_unconverged_pairs_name_a_budget_spent_above_epsilon(monkeypatch, eps, budget,
-                                                             spent_stacks, newton_stacks):
+def test_every_pair_reaches_epsilon_and_raises_only_after_newton(monkeypatch, eps, budget,
+                                                                 raising_stacks):
     from otface import ot
 
-    plain, spent = ot._plain, set()
+    plain, budgets, at_eps = ot._plain, set(), []
     def spy(cost, level, f, tol, left):
-        if level == eps:  # the target level, with no iteration left to these
-            spent.update(np.flatnonzero(left == 0).tolist())
-        return plain(cost, level, f, tol, left)
+        budgets.add(left)
+        *solved, iters = plain(cost, level, f, tol, left)
+        if level == eps:
+            at_eps.extend(iters.tolist())
+        return *solved, iters
     monkeypatch.setattr(ot, "_plain", spy)
-    named = {"budget": 0, "newton": 0}
+    raised = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n, d = rng.integers(2, 17, size=2)
         m1, m2 = rng.normal(size=(2, 3, n, d))
-        spent.clear()
+        at_eps.clear()
         try:
             ot_distance(Tensor(m1), Tensor(m2), SinkhornConfig(epsilon=eps, unroll_iters=budget))
         except NumericalRegimeError as exc:
-            for clause in str(exc).split("; "):
-                match = re.fullmatch(r"OT pairs \[([\d, ]+)\] did not converge at "
-                                     r"epsilon=(\S+): (.+)", clause)
-                pairs = {int(p) for p in match[1].split(", ")}
-                if match[3] == (f"the budget sinkhorn.unroll_iters={budget} ran out "
-                                "before reaching epsilon"):
-                    assert pairs <= spent
-                    named["budget"] += 1
-                else:
-                    assert match[3].endswith(" after Newton") and not pairs & spent
-                    named["newton"] += 1
-    assert named == {"budget": spent_stacks, "newton": newton_stacks}
+            assert re.fullmatch(r"OT pairs \[[\d, ]+\] did not converge at epsilon=\S+: "
+                                r"marginal violation \S+ after Newton", str(exc))
+            raised += 1
+        assert len(at_eps) == 3 and min(at_eps) >= 1, seed
+    assert budgets == {budget}
+    assert raised == raising_stacks
 
 
 def _tape_edges(root):

@@ -20,3 +20,22 @@ def test_train_digest_prints_metrics_rows_and_both_digests():
     assert len(values) == len(METRICS_COLUMNS) and values[0] == "0"
     assert re.fullmatch(r"params sha256 [0-9a-f]{64}", params)
     assert re.fullmatch(r"pairs sha256 [0-9a-f]{64}", pairs)
+
+
+def test_solver_digest_prints_one_line_per_group():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "solver_digest.py"),
+         "--src", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = done.stdout.splitlines()
+    groups = [f"sinkhorn_log_domain eps={eps} problems=200" for eps in (0.05, 0.01, 0.005)]
+    groups += [f"ot_distance eps={eps} unroll_iters={budget} problems=30"
+               for eps in (0.0001, 0.001, 0.01, 0.1) for budget in (15, 50)]
+    assert len(lines) == len(groups)
+    for line, group in zip(lines, groups):
+        iters = r"\d+(\.5)?" if group.startswith("sinkhorn") else "-"
+        match = re.fullmatch(rf"{group} converged=(\d+) raised=(\d+) iters_p50={iters} "
+                             rf"iters_max=(\d+|-) sha256 [0-9a-f]{{64}}", line)
+        assert match, line
+        assert int(match[1]) + int(match[2]) <= int(group.rsplit("=", 1)[1])
