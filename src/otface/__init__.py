@@ -27,6 +27,7 @@ from .ot import (
     TransportPlan,
     exact_ot_uniform,
     ot_distance,
+    ot_pair_distances,
     sinkhorn_log_domain,
 )
 from .tensor import (

@@ -100,7 +100,7 @@ def _parse_set(item: str) -> dict:
     else:
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an int past Python's digit limit
             raise ConfigurationError(
                 f"--set {key_path}: {raw!r} is not a JSON value") from None
     return {section: {leaf: value}}
@@ -122,6 +122,8 @@ def load_config(path: Path | None = None,
             raise ConfigurationError(
                 f"malformed config {path}: line {exc.lineno}: {exc.msg}"
             ) from None
+        except ValueError as exc:  # an int past Python's digit limit
+            raise ConfigurationError(f"malformed config {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
         _merge(cfg, doc)

@@ -4,24 +4,28 @@ Both marginals are 1/n and the plan is P = exp((f_i + g_j - C_ij) / eps)
 for dual potentials f, g. One private solve, `_solve`, handles a (B, n, n)
 cost stack: an epsilon ladder, plain Sinkhorn updates on a kernel that each
 level stabilises by the last level's potentials, so it stays normal at any
-epsilon, and batched Newton for the problems still above tolerance. `sinkhorn_log_domain`
-is that solve for one cost, reporting the plan's transport cost <C, P>.
-`ot_distance` is it as one autodiff tape node, polished to a violation near
-`POLISH_TOL`, whose value is the entropic objective <C, P> - eps * H(P) and
-whose gradient with respect to C is therefore the plan itself. An exact
-permutation-enumeration oracle covers n <= 8.
+epsilon, and batched Newton for the problems still above tolerance. At
+these sizes numpy's per-call dispatch, not arithmetic, bounds the loops, so
+they are written for few calls per iteration. `sinkhorn_log_domain` is that
+solve for one cost, reporting the plan's transport cost <C, P>.
+`ot_pair_distances` is one autodiff tape node from a sample stack and index
+pairs to the pairs' entropic objectives <C, P> - eps * H(P), cosine costs
+and plans polished near `POLISH_TOL`, whose gradient with respect to C is
+the plan; `ot_distance` is that node for one pair or two paired stacks. An
+exact permutation-enumeration oracle covers n <= 8.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, NumericalRegimeError
-from .tensor import Tensor, as_tensor, normalize_rows
+from .errors import (ConfigurationError, ContractError, DegenerateInputError,
+                     NumericalRegimeError)
+from .tensor import EPS_NORM, Tensor, as_tensor, stack
 
 
 @dataclass
@@ -39,8 +43,10 @@ class SinkhornConfig:
     def validate(self) -> "SinkhornConfig":
         for name in ("epsilon", "max_iters", "marginal_tol", "unroll_iters"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):  # NaN fails both
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+            # NaN fails both comparisons, and ints compare exactly, so none overflows
+            if not 0 < value <= sys.float_info.max:
+                raise ConfigurationError(f"{name} must be positive and finite, at most "
+                                         f"{sys.float_info.max:.6g}, got {value}")
         if not self.log_domain:
             raise ConfigurationError("log_domain=False is not supported: the "
                                      "standard-domain solver was removed")
@@ -109,55 +115,52 @@ def _plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
     """
     r = 1.0 / cost.shape[-1]
     kernel = (f - cost) / eps
-    top = kernel.max(axis=-2, keepdims=True)
+    top = np.maximum.reduce(kernel, axis=-2, keepdims=True)
     kernel = np.exp(kernel - top)
     scale = r / (np.ones(cost.shape[-1]) @ kernel)[:, None, :]
     g = eps * (np.log(scale) - top)
     kernel *= scale  # exp((f + g - C) / eps); every column sums to r
-    u, v = np.ones_like(f), np.ones_like(f)
-    violation = np.empty(len(cost))
-    iters = np.zeros(len(cost), dtype=np.int64)
+    u, v = np.empty_like(f), np.empty_like(f)
+    u.fill(1.0)  # the first update's row scalings
+    violation, iters = np.empty(len(cost)), np.empty(len(cost), dtype=np.int64)
     window = STALL_WINDOW
+    # row t % (window + 1) holds iteration t's violations, one column per
+    # active problem
     history = np.empty((window + 1, len(cost)))
-    active, k, kt, uk = np.arange(len(cost)), kernel, kernel.mT, u
+    active, k, kt = np.arange(len(cost)), kernel, kernel.mT
     # column sums of the plan are v_j (K^T u)_j once u has been updated
-    ktu = kt @ uk
+    ktu = kt @ u
     t = 0
     while True:
         t += 1
         vk = r / ktu
         uk = r / (k @ vk)
         ktu = kt @ uk
-        viol = np.abs(vk * ktu - r).max(axis=1)[:, 0]
-        history[t % (window + 1), active] = viol
-        stop = (viol <= tol) | (t >= budget)
-        if t > window:
-            rate = viol / history[(t - window) % (window + 1), active]
-            stop |= rate > 0.5
-            stop |= viol * rate ** ((budget - t) / window) > tol
-        if stop.any():
+        viol = np.maximum.reduce(np.abs(vk * ktu - r), axis=(1, 2))
+        if t >= budget:  # every problem stops, so no mask is needed
+            stop, done = slice(None), active
+        else:
+            history[t % (window + 1)] = viol
+            if t > window:
+                rate = viol / history[(t - window) % (window + 1)]
+                forecast = viol * rate ** ((budget - t) / window)
+                # NaN-ignoring reduces, so each test is `any` of its mask
+                if not (np.fmin.reduce(viol) <= tol or np.fmax.reduce(rate) > 0.5
+                        or np.fmax.reduce(forecast) > tol):
+                    continue
+                stop = (viol <= tol) | (rate > 0.5) | (forecast > tol)
+            elif np.fmin.reduce(viol) > tol:
+                continue
+            else:
+                stop = viol <= tol
             done = active[stop]
-            u[done], v[done] = uk[stop], vk[stop]
-            violation[done], iters[done] = viol[stop], t
-            if stop.all():
-                break
-            keep = ~stop
-            active, k, uk, ktu = (a[keep] for a in (active, k, uk, ktu))
-            kt = k.mT
+        u[done], v[done], violation[done], iters[done] = uk[stop], vk[stop], viol[stop], t
+        if len(done) == len(active):
+            break
+        keep = ~stop
+        active, k, uk, ktu, history = active[keep], k[keep], uk[keep], ktu[keep], history[:, keep]
+        kt = k.mT
     return f + eps * np.log(u), g + eps * np.log(v).mT, violation, iters
-
-
-def _schur_solve(gram: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Column part b of a solve with the marginal Jacobian [[diag(rows), P],
-    [P^T, diag(cols)]] of a (B, n, n) stack, b_n = 0 pinning its (1, -1)
-    null direction: the (n-1) Schur block diag(cols) - `gram`, with `gram`
-    = P^T diag(1 / rows) P over the first n-1 columns, against `rhs`, the
-    (B, n-1) right side once the row part is eliminated.
-    """
-    schur = -gram
-    schur.reshape(len(gram), -1)[:, ::cols.shape[-1]] += (1.0 + SCHUR_JITTER) * cols[..., :-1]
-    b = np.linalg.solve(schur, rhs[..., None])[..., 0]
-    return np.concatenate([b, np.zeros((len(b), 1))], axis=-1)
 
 
 def _newton(plan: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
@@ -165,33 +168,41 @@ def _newton(plan: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     (B, n, n) stack of plans, the rows normalised exactly each round, until
     each violation reaches `tol` or `NEWTON_STEPS` run out. Returns the
     plans, their violations and the steps each took.
+
+    A step solves the marginal Jacobian [[diag(rows), P], [P^T, diag(cols)]]
+    for the column part, pinning its last entry to 0 against the (1, -1)
+    null direction: the (n-1) Schur block diag(cols) - n P^T P over the
+    first n-1 columns, the rows all being 1/n.
     """
     n = plan.shape[-1]
     r, ones = 1.0 / n, np.ones(n)
     active, p = np.arange(len(plan)), plan
     plan, violation = np.empty_like(plan), np.empty(len(plan))
-    steps = np.zeros(len(plan), dtype=np.int64)
+    steps = np.empty(len(plan), dtype=np.int64)
     step = 0
     while True:
         p = p * (r / (p @ ones))[..., None]
         cols = ones @ p
         residual = r - cols
-        viol = np.abs(residual).max(axis=-1)
-        stop = (viol <= tol) | (step == NEWTON_STEPS)
-        if stop.any():
+        viol = np.maximum.reduce(np.abs(residual), axis=-1)
+        if step == NEWTON_STEPS or np.fmin.reduce(viol) <= tol:
+            stop = (viol <= tol) | (step == NEWTON_STEPS)
             done = active[stop]
             plan[done], violation[done], steps[done] = p[stop], viol[stop], step
-            if stop.all():
+            if len(done) == len(active):
                 return plan, violation, steps
             keep = ~stop
-            active, p, cols, residual = (v[keep] for v in (active, p, cols, residual))
+            active, p, cols, residual = active[keep], p[keep], cols[keep], residual[keep]
         step += 1
         pinned = p[..., :-1]
-        db = _schur_solve(n * (pinned.mT @ pinned), cols, residual[:, :-1])
+        schur = (pinned.mT @ pinned) * -n
+        schur.reshape(len(p), -1)[:, ::n] += (1.0 + SCHUR_JITTER) * cols[..., :-1]
+        db = np.zeros(cols.shape)
+        db[:, :-1] = np.linalg.solve(schur, residual[:, :-1, None])[..., 0]
         # a shift of the column potentials is absorbed by the row
         # normalisation; damp wild steps
         db -= (db @ ones)[:, None] / n
-        db *= np.minimum(1.0, 1.0 / np.abs(db).max(axis=-1))[:, None]
+        db *= np.minimum(1.0, 1.0 / np.maximum.reduce(np.abs(db), axis=-1))[:, None]
         p = p * np.exp(db)[:, None, :]
 
 
@@ -261,37 +272,85 @@ def exact_ot_uniform(cost: np.ndarray) -> float:
     return best / n
 
 
-def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
-    """Differentiable entropic OT between n x d feature distributions.
+def ot_pair_distances(samples, pairs, cfg: SinkhornConfig) -> Tensor:
+    """Differentiable entropic OT values of B pairs of n x d distributions.
 
-    Takes one pair of (n, d) distributions and returns a scalar, or two
-    (B, n, d) stacks and returns the B pairwise values: the entropic
+    `samples` is a (U, n, d) tensor or a mapping from index to (n, d)
+    tensor; `pairs` is (B, 2) sample indices. Each value is the entropic
     objective <C, P*> - epsilon * H(P*), H(P) = -sum P (log P - 1), of the
-    converged plan P* for the cosine cost C built on the tape. P* minimises
-    that objective, so by the envelope theorem (Cuturi 2013) its gradient
-    with respect to C is P* and the backward needs no solve. A pair Newton
-    leaves above `POLISH_TOL` raises.
+    converged plan P* for the pair's cosine cost C; P* minimises it, so its
+    gradient with respect to C is P* (envelope theorem, Cuturi 2013). Each
+    paired sample is normalised once, and an atom with norm at most
+    `EPS_NORM` raises naming the sample's index; the costs are one batched
+    GEMM; a pair Newton leaves above `POLISH_TOL` raises. The backward
+    replays the fused normalisation, cost and gathers op by op, pair end by
+    pair end, each end scattered by its own `bincount`, so its bytes are
+    those of that composition.
     """
     cfg.validate()
+    pairs = np.asarray(pairs, dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size:
+        raise ContractError(f"pairs must be a non-empty (B, 2) array, got shape {pairs.shape}")
+    used, slot = np.unique(pairs, return_inverse=True)
+    slot = slot.reshape(pairs.shape)
+    if isinstance(samples, Tensor):
+        if used[0] < 0 or used[-1] >= len(samples.data):
+            raise ContractError(f"pairs {pairs.tolist()} must index the "
+                                f"{len(samples.data)} samples")
+        rows, x = pairs, np.take(samples.data, used, axis=0)
+    else:  # stacked once, over the paired samples
+        samples = stack([samples[i] for i in used.tolist()])
+        rows, x = slot, samples.data
+    if x.ndim != 3:
+        raise ContractError(f"samples must be n x d distributions, got shape {x.shape[1:]}")
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    bad = np.argwhere(~(np.isfinite(norms) & (norms > EPS_NORM)))
+    if bad.size:
+        row, atom, _ = bad[0]
+        raise DegenerateInputError(
+            f"sample {used[row]} atom {atom} has norm {norms[row, atom, 0]:.3e}")
+    unit = x / norms
+    left, right = np.take(unit, slot[:, 0], axis=0), np.take(unit, slot[:, 1], axis=0)
+    raw = 1.0 - left @ right.mT
+    cost = np.clip(raw, 0.0, 2.0)
+    eps = cfg.epsilon
+    plan, violation, _ = _solve(cost, eps, POLISH_TOL, cfg.unroll_iters)
+    stuck = violation > POLISH_TOL
+    if stuck.any():
+        raise NumericalRegimeError(
+            f"OT pairs {np.flatnonzero(stuck).tolist()} did not converge at epsilon={eps}: "
+            f"marginal violation {violation.max():.2e} after Newton")
+    ones = np.ones(cost.shape[-1])
+    # -epsilon * H(P) = epsilon * sum P (log P - 1), with 0 log 0 = 0
+    log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
+    value = (cost * plan) @ ones @ ones + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
+
+    def _bw(out_grad):
+        g_dot = -((np.reshape(out_grad, (-1, 1, 1)) * plan) * ((raw >= 0.0) & (raw <= 2.0)))
+        width = x[0].size
+
+        def scatter(end, g):
+            m, norm = np.take(x, slot[:, end], axis=0), np.take(norms, slot[:, end], axis=0)
+            # the backward of m / sqrt((m * m).sum(-1)), op by op
+            g_sq = (-g * m / (norm * norm)).sum(axis=-1, keepdims=True) * 0.5 / norm
+            g_m = g / norm + g_sq * m + g_sq * m
+            cells = (rows[:, end, None] * width + np.arange(width)).ravel()
+            return np.bincount(cells, weights=g_m.ravel(), minlength=samples.data.size)
+        full = scatter(0, g_dot @ right) + scatter(1, (left.mT @ g_dot).mT)
+        samples._accum(full.reshape(samples.shape))
+    return Tensor._make(value, (samples,), _bw)
+
+
+def ot_distance(m1: Tensor, m2: Tensor, cfg: SinkhornConfig) -> Tensor:
+    """`ot_pair_distances` for one pair of (n, d) distributions, a scalar,
+    or for two (B, n, d) stacks paired row by row, the B values."""
     m1, m2 = as_tensor(m1), as_tensor(m2)
     if m1.shape != m2.shape or len(m1.shape) not in (2, 3):
         raise ContractError(
             f"distributions must share an n x d or B x n x d shape, "
             f"got {m1.shape} and {m2.shape}"
         )
-    cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
-    stack = cost.data.reshape((-1,) + cost.shape[-2:])
-    eps = cfg.epsilon
-    plan, violation, _ = _solve(stack, eps, POLISH_TOL, cfg.unroll_iters)
-    stuck = violation > POLISH_TOL
-    if stuck.any():
-        raise NumericalRegimeError(
-            f"OT pairs {np.flatnonzero(stuck).tolist()} did not converge at epsilon={eps}: "
-            f"marginal violation {violation.max():.2e} after Newton")
-    ones = np.ones(stack.shape[-1])
-    # -epsilon * H(P) = epsilon * sum P (log P - 1), with 0 log 0 = 0
-    log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
-    value = (stack * plan) @ ones @ ones + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
-    def _bw(out_grad):
-        cost._accum((np.reshape(out_grad, (-1, 1, 1)) * plan).reshape(cost.shape))
-    return Tensor._make(value.reshape(cost.shape[:-2]), (cost,), _bw)
+    samples = stack([m1, m2]).reshape((-1,) + m1.shape[-2:])
+    half = np.arange(len(samples.data) // 2)
+    pairs = np.stack([half, half + len(half)], axis=1)
+    return ot_pair_distances(samples, pairs, cfg).reshape(m1.shape[:-2])

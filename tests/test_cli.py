@@ -462,6 +462,39 @@ def test_train_runs_with_a_budget_beyond_int64(tmp_path):
     assert int(row.split(",")[4]) > 0  # hard groups, so the OT term ran
 
 
+# A budget beyond float range is rejected naming its key: the check compares
+# the integer with the largest float instead of converting it.
+def test_ot_solve_rejects_a_budget_beyond_float_range(tmp_path, capsys):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0.0,1.0\n1.0,0.0\n")
+    assert run_cli("ot", "solve", "--cost", str(cost), "--epsilon", "0.1",
+                   "--max-iters", str(10 ** 400)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: max_iters must be positive and finite")
+    assert captured.out == ""
+
+
+# 5000 digits pass Python's limit on int parsing: json raises ValueError
+@pytest.mark.parametrize("source,digits,error", [
+    ("set", 401, "error: unroll_iters must be positive and finite"),
+    ("set", 5000, "error: --set sinkhorn.unroll_iters: "),
+    ("file", 5000, "error: malformed config "),
+], ids=["set-401-digits", "set-5000-digits", "file-5000-digits"])
+def test_train_rejects_a_budget_beyond_float_range(tmp_path, capsys, source, digits, error):
+    data = gen_dataset(tmp_path)
+    capsys.readouterr()
+    budget = "1" + "0" * (digits - 1)
+    if source == "set":
+        extra = ["--set", f"sinkhorn.unroll_iters={budget}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"sinkhorn": {{"unroll_iters": {budget}}}}}')
+        extra = ["--config", str(config)]
+    assert run_cli("train", "--out", str(tmp_path / "run"), "--set", f"data.manifest={data}",
+                   *TINY_TRAIN_ARGS, *extra) == 2
+    assert capsys.readouterr().err.startswith(error)
+
+
 def test_checkpoint_every_writes_intermediate_checkpoints(tmp_path):
     data = gen_dataset(tmp_path)
     out = train_run(tmp_path, data, "run", epochs=2,

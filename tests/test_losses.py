@@ -7,18 +7,24 @@ from otface import (
     ClassifierWeights,
     ConfigurationError,
     ContractError,
+    DegenerateInputError,
     LabeledBatch,
     MarginConfig,
     SinkhornConfig,
     Tensor,
     cross_entropy,
     margin_logits,
+    normalize_rows,
     ot_distance,
+    ot_pair_distances,
     ot_triplet_loss,
     otface_loss,
     per_sample_cross_entropy,
+    stack,
+    to_distribution,
 )
 from otface import losses as losses_mod
+from otface import ot as ot_mod
 from otface.mining import HardGroup
 
 from conftest import rel_err
@@ -162,14 +168,15 @@ def test_ot_triplet_rejects_negative_hinge():
 def test_ot_triplet_stack_and_mapping_agree_in_one_ot_call(monkeypatch):
     calls = []
 
-    def counting_ot_distance(*args):
-        calls.append(args[0].shape)
-        return ot_distance(*args)
+    def counting_ot_pair_distances(samples, pairs, cfg):
+        calls.append((samples, pairs.tolist()))
+        return ot_pair_distances(samples, pairs, cfg)
 
-    monkeypatch.setattr(losses_mod, "ot_distance", counting_ot_distance)
+    monkeypatch.setattr(losses_mod, "ot_pair_distances", counting_ot_pair_distances)
     rng = np.random.default_rng(13)
-    maps = rng.normal(size=(6, 4, 3))
-    # (0, 1) and (0, 2) recur across groups, (2, 0) is (0, 2) reversed
+    maps = rng.normal(size=(7, 4, 3))
+    # (0, 1) and (0, 2) recur across groups, (2, 0) is (0, 2) reversed;
+    # sample 6 is in no group
     groups = [HardGroup(0, 1, 2), HardGroup(0, 1, 3), HardGroup(2, 5, 0),
               HardGroup(1, 0, 4), HardGroup(0, 1, 2)]
     cfg = SinkhornConfig(epsilon=0.1, unroll_iters=20)
@@ -181,12 +188,16 @@ def test_ot_triplet_stack_and_mapping_agree_in_one_ot_call(monkeypatch):
     from_dict = ot_triplet_loss(groups, rows, cfg, hinge_margin=0.3)
     from_dict.backward()
 
-    # distinct unordered pairs: (0,1) (0,2) (0,3) (1,4) (2,5)
-    assert calls == [(5, 4, 3), (5, 4, 3)]
+    # one call per loss, on the distinct unordered pairs
+    distinct = [[0, 1], [0, 2], [0, 3], [1, 4], [2, 5]]
+    assert len(calls) == 2
+    assert calls[0][0] is stacked and calls[1][0] is rows
+    assert calls[0][1] == calls[1][1] == distinct
     assert from_stack.item() > 0.0
     assert from_stack.item() == pytest.approx(from_dict.item(), abs=1e-12)
     for i in range(6):
         assert np.max(np.abs(stacked.grad[i] - rows[i].grad)) < 1e-12
+    assert not stacked.grad[6].any()
 
     # the same value as summing the per-group hinge terms one by one
     def ot(i, j):
@@ -195,6 +206,100 @@ def test_ot_triplet_stack_and_mapping_agree_in_one_ot_call(monkeypatch):
     expected = sum(max(ot(g.anchor, g.positive) - ot(g.anchor, g.negative) + 0.3,
                        0.0) for g in groups)
     assert from_stack.item() == pytest.approx(expected, abs=1e-12)
+
+
+def _composed_pair_distances(samples, pairs, cfg):
+    """What `ot_pair_distances` fuses, op by op on the tape: the used
+    samples stacked (a mapping) or not (a tensor), both pair ends gathered,
+    their rows normalised and the cosine cost built from tape ops, then one
+    node whose backward is the plan."""
+    if not isinstance(samples, Tensor):
+        used = sorted(set(pairs.ravel().tolist()))
+        samples = stack([samples[i] for i in used])
+        pairs = np.searchsorted(used, pairs)
+    m1, m2 = (samples.gather(end) for end in pairs.T)
+    cost = (1.0 - normalize_rows(m1) @ normalize_rows(m2).mT).clip(0.0, 2.0)
+    eps = cfg.epsilon
+    plan, violation, _ = ot_mod._solve(cost.data, eps, ot_mod.POLISH_TOL, cfg.unroll_iters)
+    assert np.all(violation <= ot_mod.POLISH_TOL)
+    ones = np.ones(cost.shape[-1])
+    log_plan = np.log(plan, out=np.zeros_like(plan), where=plan > 0.0)
+    value = (cost.data * plan) @ ones @ ones + eps * (plan * (log_plan - 1.0)).sum(axis=(-2, -1))
+    return Tensor._make(value, (cost,), lambda g: cost._accum(g[:, None, None] * plan))
+
+
+# every sample but 4 and 7 is paired, most of them on both ends and more
+# than once on one end
+BYTE_PAIRS = np.array([[0, 1], [0, 2], [1, 2], [3, 0], [2, 5], [5, 6], [0, 6], [6, 1]])
+
+
+def test_pair_distances_are_byte_identical_to_the_composition_on_feature_maps():
+    # the training input: `to_distribution`'s transposed view of the maps
+    rng = np.random.default_rng(40)
+    maps = rng.normal(size=(8, 16, 4, 4))
+    weights = Tensor(rng.uniform(-1.0, 1.0, size=len(BYTE_PAIRS)))
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=15)
+    results = []
+    for distances in (ot_pair_distances, _composed_pair_distances):
+        leaf = Tensor(maps, requires_grad=True)
+        values = distances(to_distribution(leaf), BYTE_PAIRS, cfg)
+        (values * weights).sum().backward()
+        results.append((values.data.tobytes(), leaf.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_pair_distances_are_byte_identical_to_the_composition_on_a_mapping():
+    rng = np.random.default_rng(41)
+    # some samples are transposed views, as `to_distribution` gives them
+    arrays = {i: rng.normal(size=(16, 12) if i % 2 else (12, 16)) for i in range(8)}
+    weights = Tensor(rng.uniform(-1.0, 1.0, size=len(BYTE_PAIRS)))
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=15)
+    results = []
+    for distances in (ot_pair_distances, _composed_pair_distances):
+        leaves = {i: Tensor(a, requires_grad=True) for i, a in arrays.items()}
+        rows = {i: leaf.mT if i % 2 == 0 else leaf for i, leaf in leaves.items()}
+        values = distances(rows, BYTE_PAIRS, cfg)
+        (values * weights).sum().backward()
+        grads = [leaves[i].grad.tobytes() for i in sorted(set(BYTE_PAIRS.ravel().tolist()))]
+        results.append((values.data.tobytes(), grads))
+    assert results[0] == results[1]
+
+
+def test_ot_triplet_loss_records_one_ot_node_on_the_distributions():
+    rng = np.random.default_rng(42)
+    distributions = Tensor(rng.normal(size=(6, 4, 3)), requires_grad=True)
+    groups = [HardGroup(0, 1, 2), HardGroup(3, 1, 0), HardGroup(2, 5, 0)]
+    loss = ot_triplet_loss(groups, distributions, SinkhornConfig(epsilon=0.1), 0.3)
+    nodes, todo = {id(loss): loss}, [loss]
+    while todo:
+        for child in todo.pop()._prev:
+            if id(child) not in nodes:
+                nodes[id(child)] = child
+                todo.append(child)
+    readers = [t for t in nodes.values() if any(p is distributions for p in t._prev)]
+    assert len(readers) == 1
+    node = readers[0]
+    assert node._prev == (distributions,) and node.shape == (5,)
+    # the hinge terms read the pair values straight from the node
+    assert [len(t._prev) for t in nodes.values() if any(p is node for p in t._prev)] == [1, 1]
+
+
+def test_degenerate_atom_is_named_by_its_sample_index_only_if_the_sample_is_paired():
+    rng = np.random.default_rng(43)
+    maps = rng.normal(size=(6, 4, 3))
+    maps[4, 2] = 0.0
+    cfg = SinkhornConfig(epsilon=0.1)
+    unpaired = [HardGroup(0, 1, 2), HardGroup(3, 5, 0)]
+    paired = unpaired + [HardGroup(1, 0, 4)]
+    for distributions in (Tensor(maps), {i: Tensor(m) for i, m in enumerate(maps)}):
+        assert ot_triplet_loss(unpaired, distributions, cfg).item() >= 0.0
+        with pytest.raises(DegenerateInputError, match=r"^sample 4 atom 2 has norm 0\.000e\+00$"):
+            ot_triplet_loss(paired, distributions, cfg)
+    # a mapping's keys are the indices
+    keyed = {10 + i: Tensor(m) for i, m in enumerate(maps)}
+    with pytest.raises(DegenerateInputError, match=r"^sample 14 atom 2 has"):
+        ot_triplet_loss([HardGroup(10 + g.anchor, 10 + g.positive, 10 + g.negative)
+                         for g in paired], keyed, cfg)
 
 
 def _toy_batch(rng, labels):

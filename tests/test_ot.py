@@ -13,8 +13,11 @@ from otface import (
     exact_ot_uniform,
     normalize_rows,
     ot_distance,
+    ot_pair_distances,
     sinkhorn_log_domain,
 )
+
+from otface import ot
 
 from conftest import check_grad, numeric_grad, rel_err
 
@@ -153,6 +156,9 @@ def test_sinkhorn_input_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
                 sinkhorn_log_domain(np.zeros((2, 2)), SinkhornConfig(**{name: bad}))
+    for name in ("max_iters", "unroll_iters"):
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+            SinkhornConfig(**{name: 10 ** 400}).validate()
     with pytest.raises(ConfigurationError, match="standard-domain solver"):
         SinkhornConfig(log_domain=False).validate()
 
@@ -255,6 +261,17 @@ def test_ot_distance_rejects_mismatched_stacks():
         ot_distance(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((3, 3, 2))), cfg)
     with pytest.raises(ContractError):
         ot_distance(Tensor(np.ones((1, 2, 3, 2))), Tensor(np.ones((1, 2, 3, 2))), cfg)
+
+
+def test_ot_pair_distances_rejects_malformed_pairs_and_samples():
+    cfg = SinkhornConfig(epsilon=0.1)
+    samples = Tensor(np.ones((3, 2, 2)))
+    for pairs in ([0, 1], [[0, 1, 2]], np.zeros((0, 2)), [[0, 3]], [[-1, 0]]):
+        with pytest.raises(ContractError):
+            ot_pair_distances(samples, pairs, cfg)
+    for samples in (Tensor(np.ones((3, 2))), {0: Tensor(np.ones(2)), 1: Tensor(np.ones(2))}):
+        with pytest.raises(ContractError):
+            ot_pair_distances(samples, [[0, 1]], cfg)
 
 
 def _tape_unroll(m1, m2, cfg):
@@ -551,3 +568,167 @@ def test_newton_never_spends_its_whole_step_budget(monkeypatch):
                 epsilon=eps, max_iters=500, marginal_tol=1e-12))
             assert plan.converged, (seed, eps)
     assert steps_taken and max(steps_taken) < 50
+
+
+# The solver's loops as they were before they were trimmed of numpy calls,
+# kept verbatim as the byte oracle: the trimmed loops must reach every
+# iterate, stop decision, plan and count exactly as these do.
+
+def _reference_plain(cost: np.ndarray, eps: float, f: np.ndarray, tol: float,
+                     budget: int) -> tuple[np.ndarray, ...]:
+    r = 1.0 / cost.shape[-1]
+    kernel = (f - cost) / eps
+    top = kernel.max(axis=-2, keepdims=True)
+    kernel = np.exp(kernel - top)
+    scale = r / (np.ones(cost.shape[-1]) @ kernel)[:, None, :]
+    g = eps * (np.log(scale) - top)
+    kernel *= scale  # exp((f + g - C) / eps); every column sums to r
+    u, v = np.ones_like(f), np.ones_like(f)
+    violation = np.empty(len(cost))
+    iters = np.zeros(len(cost), dtype=np.int64)
+    window = ot.STALL_WINDOW
+    history = np.empty((window + 1, len(cost)))
+    active, k, kt, uk = np.arange(len(cost)), kernel, kernel.mT, u
+    # column sums of the plan are v_j (K^T u)_j once u has been updated
+    ktu = kt @ uk
+    t = 0
+    while True:
+        t += 1
+        vk = r / ktu
+        uk = r / (k @ vk)
+        ktu = kt @ uk
+        viol = np.abs(vk * ktu - r).max(axis=1)[:, 0]
+        history[t % (window + 1), active] = viol
+        stop = (viol <= tol) | (t >= budget)
+        if t > window:
+            rate = viol / history[(t - window) % (window + 1), active]
+            stop |= rate > 0.5
+            stop |= viol * rate ** ((budget - t) / window) > tol
+        if stop.any():
+            done = active[stop]
+            u[done], v[done] = uk[stop], vk[stop]
+            violation[done], iters[done] = viol[stop], t
+            if stop.all():
+                break
+            keep = ~stop
+            active, k, uk, ktu = (a[keep] for a in (active, k, uk, ktu))
+            kt = k.mT
+    return f + eps * np.log(u), g + eps * np.log(v).mT, violation, iters
+
+
+def _reference_schur_solve(gram: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    schur = -gram
+    schur.reshape(len(gram), -1)[:, ::cols.shape[-1]] += (1.0 + ot.SCHUR_JITTER) * cols[..., :-1]
+    b = np.linalg.solve(schur, rhs[..., None])[..., 0]
+    return np.concatenate([b, np.zeros((len(b), 1))], axis=-1)
+
+
+def _reference_newton(plan: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    n = plan.shape[-1]
+    r, ones = 1.0 / n, np.ones(n)
+    active, p = np.arange(len(plan)), plan
+    plan, violation = np.empty_like(plan), np.empty(len(plan))
+    steps = np.zeros(len(plan), dtype=np.int64)
+    step = 0
+    while True:
+        p = p * (r / (p @ ones))[..., None]
+        cols = ones @ p
+        residual = r - cols
+        viol = np.abs(residual).max(axis=-1)
+        stop = (viol <= tol) | (step == ot.NEWTON_STEPS)
+        if stop.any():
+            done = active[stop]
+            plan[done], violation[done], steps[done] = p[stop], viol[stop], step
+            if stop.all():
+                return plan, violation, steps
+            keep = ~stop
+            active, p, cols, residual = (v[keep] for v in (active, p, cols, residual))
+        step += 1
+        pinned = p[..., :-1]
+        db = _reference_schur_solve(n * (pinned.mT @ pinned), cols, residual[:, :-1])
+        # a shift of the column potentials is absorbed by the row
+        # normalisation; damp wild steps
+        db -= (db @ ones)[:, None] / n
+        db *= np.minimum(1.0, 1.0 / np.abs(db).max(axis=-1))[:, None]
+        p = p * np.exp(db)[:, None, :]
+
+
+def _reference_solve(cost: np.ndarray, eps: float, tol: float, budget: int
+                     ) -> tuple[np.ndarray, ...]:
+    levels = []
+    level = max(eps, 1.0, float(cost.max()) / 10.0)
+    while level > eps:
+        levels.append(level)
+        level /= 10.0
+    f = np.zeros(cost.shape[:-1] + (1,))
+    iters = np.zeros(len(cost), dtype=np.int64)
+    for level in levels + [eps]:
+        f, g, violation, used = _reference_plain(cost, level, f,
+                                                 ot.COARSE_TOL if level > eps else tol, budget)
+        iters += used
+    plan = np.exp((f + g - cost) / eps)
+    stuck = np.flatnonzero(violation > tol)
+    if stuck.size:
+        plan[stuck], violation[stuck], steps = _reference_newton(plan[stuck],
+                                                                 min(tol, ot.POLISH_TOL))
+        iters[stuck] += steps
+    return plan, violation, iters
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.005])
+def test_solve_is_byte_identical_to_the_reference_on_criterion_1_costs(eps):
+    for seed in range(200):
+        cost = criterion_1_cost(seed)[None]
+        _assert_same_bytes(ot._solve(cost, eps, 1e-12, 500),
+                           _reference_solve(cost, eps, 1e-12, 500))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_solve_is_byte_identical_to_the_reference_on_cosine_costs(eps):
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        cost = _cosine_cost(*rng.normal(size=(2, 16, 16)))[None]
+        _assert_same_bytes(ot._solve(cost, eps, 1e-6, 200),
+                           _reference_solve(cost, eps, 1e-6, 200))
+
+
+def test_stack_stopping_at_different_iterations_is_byte_identical_to_the_reference():
+    # one cold level on 40 problems: some reach the tolerance, some stall,
+    # and some stop early on the rate forecast, which a budget of 10**6
+    # leaves running
+    cost = np.random.default_rng(0).random((40, 5, 5))
+    f = np.zeros((40, 5, 1))
+    runs = {}
+    for budget in (500, 10 ** 6):
+        runs[budget] = _reference_plain(cost, 0.05, f, 1e-12, budget)
+        _assert_same_bytes(ot._plain(cost, 0.05, f, 1e-12, budget), runs[budget])
+    *_, violation, iters = runs[500]
+    *_, long_violation, long_iters = runs[10 ** 6]
+    assert np.sum(violation <= 1e-12) >= 10
+    assert np.sum((long_violation > 1e-12) & (long_iters > ot.STALL_WINDOW)) >= 10
+    assert np.sum((iters < long_iters) & (iters > ot.STALL_WINDOW)) >= 10
+    assert len(np.unique(iters)) >= 20
+    # a NaN problem runs to the budget without holding the others back
+    nan_f = f.copy()
+    nan_f[7, 2] = np.nan
+    plan = np.exp(-cost / 0.05)
+    plan[2, 1] = 0.0  # a zero row, whose normalisation gives NaN
+    with np.errstate(all="ignore"):
+        for budget in (15, 500):
+            _assert_same_bytes(ot._plain(cost, 0.05, nan_f, 1e-12, budget),
+                               _reference_plain(cost, 0.05, nan_f, 1e-12, budget))
+        _assert_same_bytes(ot._newton(plan[:8], 1e-12), _reference_newton(plan[:8], 1e-12))
+    # the whole ladder, and batched Newton on the problems it leaves; the
+    # cosine stack is a trained batch's, polished at its budget
+    cosine = _cosine_cost(*np.random.default_rng(1).normal(size=(2, 40, 16, 16)))
+    for stack, eps, tol, budget in ((cost, 0.05, 1e-12, 500), (cost, 0.01, 1e-12, 15),
+                                    (cosine, 0.1, ot.POLISH_TOL, 15),
+                                    (cosine, 0.02, ot.POLISH_TOL, 50)):
+        _assert_same_bytes(ot._solve(stack, eps, tol, budget),
+                           _reference_solve(stack, eps, tol, budget))

@@ -11,15 +11,21 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_train_digest_prints_metrics_rows_and_both_digests():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "train_digest.py"), "--src", str(ROOT / "src"),
-         "--epochs", "1"],
+         "--epochs", "1", "--seed", "0", "1"],
         capture_output=True, text=True, timeout=300, check=True,
     )
-    header, row, params, pairs = done.stdout.splitlines()
-    assert header == ",".join(METRICS_COLUMNS)
-    values = row.split(",")
-    assert len(values) == len(METRICS_COLUMNS) and values[0] == "0"
-    assert re.fullmatch(r"params sha256 [0-9a-f]{64}", params)
-    assert re.fullmatch(r"pairs sha256 [0-9a-f]{64}", pairs)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 10
+    blocks = [lines[:5], lines[5:]]
+    for seed, (title, header, row, params, pairs) in enumerate(blocks):
+        assert title == f"seed {seed}"
+        assert header == ",".join(METRICS_COLUMNS)
+        values = row.split(",")
+        assert len(values) == len(METRICS_COLUMNS) and values[0] == "0"
+        assert re.fullmatch(r"params sha256 [0-9a-f]{64}", params)
+        assert re.fullmatch(r"pairs sha256 [0-9a-f]{64}", pairs)
+    # the seed moves the training, not the held-out pairs
+    assert blocks[0][3] != blocks[1][3] and blocks[0][4] == blocks[1][4]
 
 
 def test_solver_digest_prints_one_line_per_group():
