@@ -2,16 +2,19 @@
 
 For each seed, prints a `seed N` line, each epoch's metrics row,
 formatted as `metrics.csv` formats it, then the SHA-256 of every
-parameter's name and bytes, in name order, and the SHA-256 of the
+parameter's name and bytes, in name order, the SHA-256 of the
 criterion's held-out pair set (`make_pairs(te_labels, 50, 10, seed=999)`:
-its left, right, same and fold arrays, in that order). Two source trees
-that print the same digests trained this configuration to the same bytes
-and verify it on the same pairs. Learning-rate milestones at or past
-`--epochs` are dropped, which leaves the schedule of the epochs that run
-unchanged. `--no-mining` trains the same configuration with mining off,
-the margin-only run the criterion compares against. Seeds 0 to 9 at 30
-epochs, with and without `--no-mining`, are the criterion's twenty
-trainings.
+its left, right, same and fold arrays, in that order), the SHA-256 of the
+held-out embeddings (`trainer.embed(te_images)`) and the criterion's
+verification accuracy on those pairs (10-fold `mean_accuracy`). Two source
+trees that print the same lines trained this configuration to the same
+bytes, embed the held-out images to the same bytes and score the same.
+Learning-rate milestones at or past `--epochs` are dropped, which leaves
+the schedule of the epochs that run unchanged. `--no-mining` trains the
+same configuration with mining off, the margin-only run the criterion
+compares against. Seeds 0 to 9 at 30 epochs, with and without
+`--no-mining`, are the criterion's twenty trainings; their accuracy lines
+are the criterion's per-seed figures.
 
     python scripts/train_digest.py --src src --seed 0 --epochs 3
     python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
@@ -41,13 +44,13 @@ def main() -> int:
     from otface import BackboneConfig, MarginConfig, SinkhornConfig, TrainConfig, Trainer
     from otface.cli import METRICS_COLUMNS
     from otface.data import generate_synthetic, load_dataset
-    from otface.evaluation import make_pairs
+    from otface.evaluation import kfold_accuracy, make_pairs, pair_scores
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = generate_synthetic(Path(tmp) / "hard", 10, 100, 0.7, seed=123,
                                       image_size=16, holdout_per_class=30)
         images, labels = load_dataset(manifest, "train")
-        te_labels = load_dataset(manifest, "test")[1]
+        te_images, te_labels = load_dataset(manifest, "test")
     pairs = make_pairs(te_labels, 50, 10, seed=999)
     digest = hashlib.sha256()
     for name in ("left", "right", "same", "fold"):
@@ -78,6 +81,10 @@ def main() -> int:
             digest.update(trainer.state.params[name].data.tobytes())
         print(f"params sha256 {digest.hexdigest()}")
         print(f"pairs sha256 {pairs_digest}")
+        embeddings = trainer.embed(te_images)
+        print(f"embeddings sha256 {hashlib.sha256(embeddings.tobytes()).hexdigest()}")
+        accuracy = kfold_accuracy(pairs, pair_scores(embeddings, pairs), k=10).mean_accuracy
+        print(f"accuracy {accuracy!r}")
     return 0
 
 

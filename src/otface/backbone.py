@@ -120,6 +120,10 @@ def forward(images: Tensor, params: dict[str, Tensor],
             # pixel vectors, which are degenerate atoms for cosine cost
             tap = x
         x = x.relu()
+    if not x.requires_grad:
+        # untaped convs leave the batch innermost; pool a C-ordered copy so
+        # each map's h*w cells are summed pairwise, as on the tape
+        x = Tensor._make(np.ascontiguousarray(x.data), ())
     pooled = x.mean(axis=(2, 3))                      # (N, c_last)
     embedding = pooled @ params["proj.weight"] + params["proj.bias"].reshape(1, -1)
     embedding = normalize_rows(embedding)

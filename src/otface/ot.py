@@ -231,7 +231,7 @@ def _solve(cost: np.ndarray, eps: float, tol: float, budget: int
                                        COARSE_TOL if level > eps else tol, budget)
         iters += used
     plan = np.exp((f + g - cost) / eps)
-    stuck = np.flatnonzero(violation > tol)
+    stuck = np.flatnonzero(~(violation <= tol))  # NaN included
     if stuck.size:
         plan[stuck], violation[stuck], steps = _newton(plan[stuck], min(tol, POLISH_TOL))
         iters[stuck] += steps
@@ -315,7 +315,7 @@ def ot_pair_distances(samples, pairs, cfg: SinkhornConfig) -> Tensor:
     cost = np.clip(raw, 0.0, 2.0)
     eps = cfg.epsilon
     plan, violation, _ = _solve(cost, eps, POLISH_TOL, cfg.unroll_iters)
-    stuck = violation > POLISH_TOL
+    stuck = ~(violation <= POLISH_TOL)  # NaN included
     if stuck.any():
         raise NumericalRegimeError(
             f"OT pairs {np.flatnonzero(stuck).tolist()} did not converge at epsilon={eps}: "

@@ -69,6 +69,27 @@ def test_embed_does_not_depend_on_chunk_size():
     assert np.max(np.abs(small - whole)) < 1e-12
 
 
+@pytest.mark.parametrize("tap_stage", [0, 1, 2])
+@pytest.mark.parametrize("batch", [1, 33])
+def test_untaped_forward_gives_the_taped_bytes(tap_stage, batch):
+    # Untaped convs run batch innermost. Every stage of this backbone (the
+    # acceptance and benchmark one) has a multiple of 8 positions, so each
+    # conv GEMM has whole 8-column blocks, which OpenBLAS's dgemm rounds
+    # alike in either column order. The pooled mean must still sum each
+    # map's cells pairwise, as on the tape.
+    cfg = BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
+                         embedding_dim=32, tap_stage=tap_stage)
+    params = init_params(cfg, np.random.default_rng(16))
+    images = Tensor(np.random.default_rng(batch).normal(size=(batch, 1, 16, 16)))
+    taped = forward(images, params, cfg)
+    frozen = forward(images, {k: Tensor(v.data) for k, v in params.items()}, cfg)
+    assert taped.embedding.requires_grad and not frozen.embedding.requires_grad
+    for got, want in ((frozen.feature_maps, taped.feature_maps),
+                      (frozen.embedding, taped.embedding)):
+        assert got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_embedding_invariant_to_projection_rescaling():
     cfg = small_cfg()
     rng = np.random.default_rng(4)

@@ -411,6 +411,44 @@ def test_unconverged_pairs_are_named_once_per_reason(monkeypatch):
                         r"marginal violation \S+ after Newton", str(info.value))
 
 
+def test_nan_violation_raises_naming_its_pair(monkeypatch):
+    from otface import ot
+
+    real_solve = ot._solve
+
+    def nan_pair_1(*args):
+        plan, violation, iters = real_solve(*args)
+        violation[1] = np.nan
+        return plan, violation, iters
+
+    monkeypatch.setattr(ot, "_solve", nan_pair_1)
+    m1, m2 = np.random.default_rng(0).normal(size=(2, 3, 6, 4))
+    with pytest.raises(NumericalRegimeError, match=r"OT pairs \[1\] did not converge"):
+        ot_distance(Tensor(m1), Tensor(m2), SinkhornConfig(epsilon=0.1, unroll_iters=15))
+
+
+def test_nan_violation_after_plain_iterations_is_handed_to_newton(monkeypatch):
+    from otface import ot
+
+    real_plain, real_newton, handed = ot._plain, ot._newton, []
+
+    def nan_plain(*args):
+        f, g, violation, used = real_plain(*args)
+        return f, g, np.full_like(violation, np.nan), used
+
+    def spy(plan, tol):
+        handed.append(len(plan))
+        return real_newton(plan, tol)
+
+    monkeypatch.setattr(ot, "_plain", nan_plain)
+    monkeypatch.setattr(ot, "_newton", spy)
+    cost = np.random.default_rng(1).random((4, 4))
+    plan = sinkhorn_log_domain(cost, SinkhornConfig(epsilon=0.1, max_iters=500,
+                                                    marginal_tol=1e-9))
+    assert handed == [1]
+    assert plan.converged
+
+
 # Random (3, n <= 16, d <= 16) stacks, seeds 0-29: every level of the
 # ladder gets the whole budget, so every pair reaches epsilon, and a stack
 # that raises does so because Newton left a pair above tolerance.

@@ -15,17 +15,20 @@ def test_train_digest_prints_metrics_rows_and_both_digests():
         capture_output=True, text=True, timeout=300, check=True,
     )
     lines = done.stdout.splitlines()
-    assert len(lines) == 10
-    blocks = [lines[:5], lines[5:]]
-    for seed, (title, header, row, params, pairs) in enumerate(blocks):
+    assert len(lines) == 14
+    blocks = [lines[:7], lines[7:]]
+    for seed, (title, header, row, params, pairs, embeddings, accuracy) in enumerate(blocks):
         assert title == f"seed {seed}"
         assert header == ",".join(METRICS_COLUMNS)
         values = row.split(",")
         assert len(values) == len(METRICS_COLUMNS) and values[0] == "0"
         assert re.fullmatch(r"params sha256 [0-9a-f]{64}", params)
         assert re.fullmatch(r"pairs sha256 [0-9a-f]{64}", pairs)
-    # the seed moves the training, not the held-out pairs
+        assert re.fullmatch(r"embeddings sha256 [0-9a-f]{64}", embeddings)
+        assert 0.0 <= float(re.fullmatch(r"accuracy (\S+)", accuracy)[1]) <= 1.0
+    # the seed moves the training and so the embeddings, not the held-out pairs
     assert blocks[0][3] != blocks[1][3] and blocks[0][4] == blocks[1][4]
+    assert blocks[0][5] != blocks[1][5]
 
 
 def test_solver_digest_prints_one_line_per_group():

@@ -257,7 +257,9 @@ def _conv2d_reference(x, k, stride, padding, g):
     return out, gxp[:, :, padding:padding + h, padding:padding + w], gk
 
 
-def _check_against_reference(x0, k0, stride, padding, rng):
+def _check_against_reference(x0, k0, stride, padding, rng, x0_untaped=None):
+    """The taped conv2d and its gradients against the nested-loop reference,
+    then the untaped forward, on `x0_untaped` (default `x0`)."""
     x = Tensor(x0, requires_grad=True)
     kernels = Tensor(k0, requires_grad=True)
     out = conv2d(x, kernels, stride=stride, padding=padding)
@@ -268,6 +270,14 @@ def _check_against_reference(x0, k0, stride, padding, rng):
     assert rel_err(out.data, ref_out) < 1e-12
     assert rel_err(x.grad, ref_gx) < 1e-12
     assert rel_err(kernels.grad, ref_gk) < 1e-12
+    untaped = conv2d(Tensor(x0 if x0_untaped is None else x0_untaped), Tensor(k0),
+                     stride=stride, padding=padding)
+    assert not untaped.requires_grad
+    assert rel_err(untaped.data, ref_out) < 1e-12
+    # The same dot products in another GEMM column order. The BLAS may round
+    # a 1-4 column tail in another kernel, so a few outputs can differ in
+    # the last bits; test_backbone pins the bytes where no column is a tail.
+    assert rel_err(untaped.data, out.data) < 1e-14
 
 
 # (c_in, c_out, extent, kernel, stride, padding): the backbone's three stage
@@ -303,6 +313,21 @@ def test_conv2d_single_image_and_rectangular_match_reference(x_shape, k_shape,
     x0 = rng.normal(size=x_shape)
     k0 = rng.normal(size=k_shape)
     _check_against_reference(x0, k0, stride, padding, rng)
+
+
+def test_conv2d_on_previous_stage_output_matches_reference():
+    # the input is a stage-0 output in each path's own layout: (c, n, h, w)
+    # in memory on the tape, batch innermost off it
+    rng = np.random.default_rng(23)
+    x0 = rng.normal(size=(3, 2, 8, 8))
+    k_prev = rng.normal(size=(4, 2, 3, 3))
+    taped = conv2d(Tensor(x0, requires_grad=True), Tensor(k_prev), padding=1).data
+    untaped = conv2d(Tensor(x0), Tensor(k_prev), padding=1).data
+    assert rel_err(untaped, taped) < 1e-14
+    assert taped.strides[1] > taped.strides[0] > taped.strides[2]
+    assert untaped.strides[0] == untaped.itemsize
+    k0 = rng.normal(size=(5, 4, 4, 4))
+    _check_against_reference(taped, k0, 2, 1, rng, x0_untaped=untaped)
 
 
 def test_conv2d_stride_2_odd_kernel_gradients_match_central_differences():
