@@ -4,7 +4,10 @@ Stage 0 keeps the input resolution; every later stage halves it with a
 stride-2 conv, so stage k outputs (input_size / 2^k)^2 spatial positions.
 One stage's output is tapped as the per-pixel feature distribution that
 feeds the OT loss; the last stage is pooled and projected to a unit-norm
-embedding.
+embedding. On the tape each stage is `conv2d`, a bias add and a relu. Off
+it (`embed`, `otface eval`) the stages run as one fused pass, batch
+innermost, whose GEMMs over blocks of output rows keep the bytes of
+whole-stage GEMMs (README, "Numerical notes").
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, as_tensor, conv2d, normalize_rows
+from .tensor import Tensor, _im2col, as_tensor, conv2d, normalize_rows
 
 # Stride-2 stages use an even kernel so the halved output extent is exact.
 _DOWN_KERNEL = 4
+# OpenBLAS's dgemm runs a product of at most this many multiply-adds through
+# its small-matrix kernel, which sums a dot product in another order.
+_BLAS_SMALL_GEMM = 100 ** 3
 
 
 @dataclass
@@ -98,10 +104,57 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Tens
     return params
 
 
+def _untaped_stages(images: np.ndarray, params: dict[str, Tensor],
+                    cfg: BackboneConfig) -> tuple[Tensor, Tensor]:
+    """The stages off the tape, batch innermost, in one allocation: the tap's
+    pre-activation as an (N, c, h, w) view, and the last stage's rectified
+    maps C-ordered (N, c, h, w), so the pool sums each map pairwise."""
+    n, c, h = images.shape[0], cfg.in_channels, cfg.input_size
+    stages, scratch = [], [0, 0]
+    for i, c_out in enumerate(cfg.stage_channels):
+        k, s, p = cfg.stage_kernel(i)
+        o = (h + 2 * p - k) // s + 1
+        # GEMMs of `rows` output rows give the whole stage's bytes: a multiple of 8
+        # columns, past the BLAS's small-matrix size if the stage is; the last takes the rest
+        rows, madds = 8 // math.gcd(o * n, 8), c_out * c * k * k * o * n
+        if madds * o > _BLAS_SMALL_GEMM:
+            rows *= _BLAS_SMALL_GEMM // (madds * rows) + 1
+        blocks = [(r, rows if r + 2 * rows <= o else o - r)
+                  for r in range(0, max(o - rows, 0) + 1, rows)]
+        widest = blocks[-1][1] * o * n
+        scratch = [max(scratch[0], c * k * k * widest), max(scratch[1], c_out * widest)]
+        stages.append(((c, h + 2 * p, h + 2 * p, n), k, s, p, c_out, o, blocks))
+        c, h = c_out, o
+    sizes = [math.prod(shape) for shape, *_ in stages] + [n * c * h * h] + scratch
+    *bufs, last, cols, outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    bufs, dests = [b.reshape(st[0]) for b, st in zip(bufs, stages)], []
+    for buf, (_, _, _, p, *_) in zip(bufs, stages):  # zero each (c, h+2p, w+2p, N) pad ring
+        e = buf.shape[1] - p
+        buf[:, :p] = buf[:, e:] = buf[:, :, :p] = buf[:, :, e:] = 0.0
+        dests.append(buf[:, p:e, p:e])
+    dests[0][...] = images.transpose(1, 2, 3, 0)
+    last = last.reshape(n, c, h, h)
+    for i, (x, dest, (_, k, s, _, c_out, o, blocks)) in enumerate(
+            zip(bufs, dests[1:] + [last.transpose(1, 2, 3, 0)], stages)):
+        if i == cfg.tap_stage:
+            tap = np.empty((c_out, o, o, n))
+        weight = params[f"stage{i}.weight"].data.reshape(c_out, -1)
+        for r, m in blocks:
+            block = _im2col(x[:, r * s:].transpose(3, 0, 1, 2), k, k, s, m, o,
+                            batch_last=True, out=cols)
+            pre = tap[:, r:r + m] if i == cfg.tap_stage else outs[:c_out * m * o * n]
+            pre = pre.reshape(c_out, -1)
+            np.matmul(weight, block, out=pre)
+            pre += params[f"stage{i}.bias"].data.reshape(-1, 1)
+            np.maximum(pre.reshape(c_out, m, o, n), 0.0, out=dest[:, r:r + m])
+    return Tensor._make(tap.transpose(3, 0, 1, 2), ()), Tensor._make(last, ())
+
+
 def forward(images: Tensor, params: dict[str, Tensor],
             cfg: BackboneConfig) -> ForwardOutput:
     """Run the conv+relu stages on (N, c, H, W) images, capture the tap,
-    pool and project."""
+    pool and project; when neither the images nor a stage parameter needs a
+    gradient, the stages run as one untaped pass."""
     cfg.validate()
     x = as_tensor(images)
     if len(x.shape) != 4 or x.shape[1] != cfg.in_channels \
@@ -110,20 +163,19 @@ def forward(images: Tensor, params: dict[str, Tensor],
             f"expected images (N, {cfg.in_channels}, {cfg.input_size}, "
             f"{cfg.input_size}), got {x.shape}"
         )
-    tap = None
-    for i in range(len(cfg.stage_channels)):
-        _, stride, pad = cfg.stage_kernel(i)
-        x = conv2d(x, params[f"stage{i}.weight"], stride=stride, padding=pad)
-        x = x + params[f"stage{i}.bias"].reshape(1, -1, 1, 1)
-        if i == cfg.tap_stage:
-            # pre-activation: rectified maps routinely contain all-zero
-            # pixel vectors, which are degenerate atoms for cosine cost
-            tap = x
-        x = x.relu()
-    if not x.requires_grad:
-        # untaped convs leave the batch innermost; pool a C-ordered copy so
-        # each map's h*w cells are summed pairwise, as on the tape
-        x = Tensor._make(np.ascontiguousarray(x.data), ())
+    if not (x.requires_grad or any(t.requires_grad for name, t in params.items()
+                                   if name.startswith("stage"))):
+        tap, x = _untaped_stages(x.data, params, cfg)
+    else:
+        for i in range(len(cfg.stage_channels)):
+            _, stride, pad = cfg.stage_kernel(i)
+            x = conv2d(x, params[f"stage{i}.weight"], stride=stride, padding=pad)
+            x = x + params[f"stage{i}.bias"].reshape(1, -1, 1, 1)
+            if i == cfg.tap_stage:
+                # pre-activation: rectified maps routinely contain all-zero
+                # pixel vectors, which are degenerate atoms for cosine cost
+                tap = x
+            x = x.relu()
     pooled = x.mean(axis=(2, 3))                      # (N, c_last)
     embedding = pooled @ params["proj.weight"] + params["proj.bias"].reshape(1, -1)
     embedding = normalize_rows(embedding)

@@ -118,7 +118,10 @@ def _check_params(path: Path, params: dict, bb) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = cfg_mod.load_config(args.config, args.set)
+    # the backbone of the run that wrote the checkpoint, if its config sits beside it
+    run_config = Path(args.checkpoint).with_name("config.json")
+    cfg = cfg_mod.load_config(args.config, args.set,
+                              run_config if run_config.is_file() else None)
     for key in (item.partition("=")[0] for item in args.set):
         if key.partition(".")[0] not in ("data", "backbone", "eval"):
             raise ConfigurationError(f"otface eval does not read config key {key!r}")

@@ -106,27 +106,30 @@ def _parse_set(item: str) -> dict:
     return {section: {leaf: value}}
 
 
-def load_config(path: Path | None = None,
-                overrides: list[str] | None = None) -> dict:
-    """Defaults, deep-merged with an optional JSON file and then
-    `key.path=value` override strings. Unknown keys and mistyped values
-    are rejected with the offending key path; OTFACE_SEED (env)
-    overrides trainer.seed last."""
+def load_config(path: Path | None = None, overrides: list[str] | None = None,
+                run_config: Path | None = None) -> dict:
+    """Defaults, with the `backbone` section of the JSON file `run_config` (a
+    run's saved config) laid over them, deep-merged with an optional JSON
+    file and then `key.path=value` override strings. Unknown keys and
+    mistyped values are rejected with the offending key path; OTFACE_SEED
+    (env) overrides trainer.seed last."""
     cfg = copy.deepcopy(DEFAULTS)
-    if path is not None:
+    for backbone_only, source in ((True, run_config), (False, path)):
+        if source is None:
+            continue
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(source).read_text())
         except FileNotFoundError:
-            raise ConfigurationError(f"config file not found: {path}") from None
+            raise ConfigurationError(f"config file not found: {source}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
-                f"malformed config {path}: line {exc.lineno}: {exc.msg}"
+                f"malformed config {source}: line {exc.lineno}: {exc.msg}"
             ) from None
         except ValueError as exc:  # an int past Python's digit limit
-            raise ConfigurationError(f"malformed config {path}: {exc}") from None
+            raise ConfigurationError(f"malformed config {source}: {exc}") from None
         if not isinstance(doc, dict):
-            raise ConfigurationError(f"config {path} must be a JSON object")
-        _merge(cfg, doc)
+            raise ConfigurationError(f"config {source} must be a JSON object")
+        _merge(cfg, {"backbone": doc.get("backbone", {})} if backbone_only else doc)
     for item in overrides or []:
         _merge(cfg, _parse_set(item))
     env_seed = os.environ.get("OTFACE_SEED")

@@ -315,18 +315,23 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            out_h: int, out_w: int, batch_last: bool = False) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int,
+            batch_last: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Columns (c*kh*kw, n*out_h*out_w) of a padded (n, c, h, w) input,
-    copied once from a strided view; the columns run (n, out_h, out_w),
-    or (out_h, out_w, n) with `batch_last`."""
+    copied once from a strided view, into the front of the flat `out` if
+    given; the columns run (n, out_h, out_w), or (out_h, out_w, n) with
+    `batch_last`."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
     windows = as_strided(xp, (c, kh, kw, n, out_h, out_w),
                          (sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
     if batch_last:
         windows = windows.transpose(0, 1, 2, 4, 5, 3)
-    return windows.reshape(c * kh * kw, n * out_h * out_w)
+    if out is None:
+        return windows.reshape(c * kh * kw, n * out_h * out_w)
+    out = out[:windows.size].reshape(windows.shape)
+    out[...] = windows
+    return out.reshape(c * kh * kw, n * out_h * out_w)
 
 
 def _conv_input_grad(g2: np.ndarray, kernels: np.ndarray, x_shape: tuple[int, ...],
@@ -360,11 +365,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     spatial extent is (h + 2*padding - kh)/stride + 1, which must be
     integral. The forward pass, the kernel gradient and the input gradient
     are each one 2-D GEMM against im2col columns (of the input, or of the
-    padded output gradient), with the batch in the column dimension. On
-    the tape the columns run (n, oh, ow), the order the kernel-gradient
-    GEMM reduces over; untaped they run (oh, ow, n), so every window copy
-    reads contiguous stretches of n, and the output is an (n, c_out, oh,
-    ow) view of a (c_out, oh, ow, n) array.
+    padded output gradient), with the batch in the column dimension; the
+    columns run (n, oh, ow).
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
@@ -385,19 +387,12 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     out_h = _conv_out_extent(h, kh, stride, padding)
     out_w = _conv_out_extent(w, kw, stride, padding)
 
-    hp, wp = h + 2 * padding, w + 2 * padding
-    wmat = kernels.data.reshape(c_out, -1)
-    if not (x.requires_grad or kernels.requires_grad):
-        xp = np.zeros((c_in, hp, wp, n)).transpose(3, 0, 1, 2)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-        out = wmat @ _im2col(xp, kh, kw, stride, out_h, out_w, batch_last=True)
-        return Tensor._make(out.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2),
-                            (x, kernels))
     xp = x.data
     if padding:
-        xp = np.zeros((n, c_in, hp, wp))
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
         xp[:, :, padding:-padding, padding:-padding] = x.data
     cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (ci*kh*kw, n*oh*ow)
+    wmat = kernels.data.reshape(c_out, -1)
     out_data = (wmat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     def _bw(g):

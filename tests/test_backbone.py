@@ -10,6 +10,7 @@ from otface import (
     to_distribution,
 )
 from otface.backbone import embed
+from otface.tensor import _im2col, normalize_rows
 
 from conftest import numeric_grad, rel_err
 
@@ -72,11 +73,14 @@ def test_embed_does_not_depend_on_chunk_size():
 @pytest.mark.parametrize("tap_stage", [0, 1, 2])
 @pytest.mark.parametrize("batch", [1, 33])
 def test_untaped_forward_gives_the_taped_bytes(tap_stage, batch):
-    # Untaped convs run batch innermost. Every stage of this backbone (the
-    # acceptance and benchmark one) has a multiple of 8 positions, so each
-    # conv GEMM has whole 8-column blocks, which OpenBLAS's dgemm rounds
-    # alike in either column order. The pooled mean must still sum each
-    # map's cells pairwise, as on the tape.
+    # The untaped pass runs each stage's GEMM over blocks of output rows,
+    # batch innermost. A block is one row, grown to a multiple of 8 columns
+    # (OpenBLAS's dgemm rounds a 1-4 column tail in another kernel) and past
+    # its small-matrix size if the whole stage is past it; only the last
+    # block has a tail. Every stage of this backbone (the acceptance and
+    # benchmark one) has a multiple of 8 positions, so no block has a tail
+    # and the blocks give the bytes of the tape's (n, oh, ow) column order.
+    # The pooled mean must still sum each map's cells pairwise, as on the tape.
     cfg = BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
                          embedding_dim=32, tap_stage=tap_stage)
     params = init_params(cfg, np.random.default_rng(16))
@@ -88,6 +92,81 @@ def test_untaped_forward_gives_the_taped_bytes(tap_stage, batch):
                       (frozen.embedding, taped.embedding)):
         assert got.shape == want.shape
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def _whole_stage_untaped_forward(images, params, cfg):
+    """Reference for the row-blocked pass: one batch-innermost conv GEMM per
+    whole stage, a Tensor bias add and relu, and a C-ordered copy of the
+    last stage for the pool."""
+    x = Tensor(images)
+    for i in range(len(cfg.stage_channels)):
+        k, stride, pad = cfg.stage_kernel(i)
+        n, c, h, w = x.shape
+        out_h = (h + 2 * pad - k) // stride + 1
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n)).transpose(3, 0, 1, 2)
+        xp[:, :, pad:pad + h, pad:pad + w] = x.data
+        wmat = params[f"stage{i}.weight"].data.reshape(cfg.stage_channels[i], -1)
+        out = wmat @ _im2col(xp, k, k, stride, out_h, out_h, batch_last=True)
+        x = Tensor._make(out.reshape(-1, out_h, out_h, n).transpose(3, 0, 1, 2), ())
+        x = x + params[f"stage{i}.bias"].reshape(1, -1, 1, 1)
+        if i == cfg.tap_stage:
+            tap = x
+        x = x.relu()
+    x = Tensor._make(np.ascontiguousarray(x.data), ())
+    pooled = x.mean(axis=(2, 3))
+    embedding = pooled @ params["proj.weight"] + params["proj.bias"].reshape(1, -1)
+    return tap, normalize_rows(embedding)
+
+
+BYTE_PIN_CONFIGS = {
+    "acceptance": BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
+                                 embedding_dim=32, tap_stage=2),
+    "default": BackboneConfig(),
+    "small": small_cfg(),
+    "tap0": BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
+                           embedding_dim=32, tap_stage=0),
+    "rgb-k5": BackboneConfig(input_size=8, in_channels=3, stage_channels=(5, 7),
+                             embedding_dim=6, tap_stage=1, kernel_size=5),
+}
+
+
+@pytest.mark.parametrize("name", list(BYTE_PIN_CONFIGS))
+def test_row_blocked_pass_gives_the_whole_stage_bytes(name):
+    # Odd batches put a 1-4 column tail on stages whose position count is
+    # not a multiple of 8 (the small and rgb-k5 backbones), and the default
+    # backbone's 512- and 1024-term stages leave the BLAS's small-matrix
+    # kernel at batches 1-3 only as whole stages.
+    cfg = BYTE_PIN_CONFIGS[name]
+    params = {k: Tensor(v.data) for k, v in init_params(cfg, np.random.default_rng(20)).items()}
+    images = np.random.default_rng(21).normal(
+        size=(300, cfg.in_channels, cfg.input_size, cfg.input_size))
+    for batch in [*range(1, 41), 63, 64, 127, 256, 300]:
+        got = forward(Tensor(images[:batch]), params, cfg)
+        tap, embedding = _whole_stage_untaped_forward(images[:batch], params, cfg)
+        assert got.feature_maps.shape == tap.shape, batch
+        assert got.feature_maps.data.tobytes() == tap.data.tobytes(), batch
+        assert got.embedding.data.tobytes() == embedding.data.tobytes(), batch
+
+
+def test_embed_gives_the_whole_stage_bytes():
+    cfg = BYTE_PIN_CONFIGS["acceptance"]
+    params = init_params(cfg, np.random.default_rng(22))
+    images = np.random.default_rng(23).normal(size=(700, 1, 16, 16))
+    want = np.concatenate([_whole_stage_untaped_forward(images[i:i + 256], params, cfg)[1].data
+                           for i in range(0, 700, 256)])
+    assert embed(images, params, cfg).tobytes() == want.tobytes()
+
+
+def test_untaped_outputs_do_not_alias_a_later_call():
+    cfg = BYTE_PIN_CONFIGS["acceptance"]
+    params = {k: Tensor(v.data) for k, v in init_params(cfg, np.random.default_rng(24)).items()}
+    rng = np.random.default_rng(25)
+    first = forward(Tensor(rng.normal(size=(9, 1, 16, 16))), params, cfg)
+    maps, embedding = first.feature_maps.data.tobytes(), first.embedding.data.tobytes()
+    forward(Tensor(rng.normal(size=(9, 1, 16, 16))), params, cfg)
+    assert first.feature_maps.data.tobytes() == maps
+    assert first.embedding.data.tobytes() == embedding
+    assert (first.feature_maps.data < 0.0).any()  # the tap is the pre-activation
 
 
 def test_embedding_invariant_to_projection_rescaling():

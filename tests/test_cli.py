@@ -230,6 +230,61 @@ def test_eval_accepts_the_config_file_that_train_writes(tmp_path):
     assert len(doc["fold_accuracies"]) == 3
 
 
+RUN_16_BACKBONE = ["--set", "backbone.input_size=16", "--set", "backbone.stage_channels=[4,6]",
+                   "--set", "backbone.embedding_dim=5", "--set", "backbone.tap_stage=1"]
+EVAL_FOLDS = ["--set", "eval.folds=3", "--set", "eval.pairs_per_fold=4"]
+
+
+def run_16(tmp_path):
+    """A trained 16x16 run directory and its dataset."""
+    data = tmp_path / "data16"
+    assert run_cli("gen-data", "--out", str(data), "--classes", "3", "--per-class", "6",
+                   "--seed", "4", "--size", "16", "--holdout", "4") == 0
+    out = tmp_path / "run16"
+    assert run_cli("train", "--out", str(out), "--set", f"data.manifest={data}",
+                   "--set", "trainer.epochs=1", "--set", "trainer.lr_milestones=[]",
+                   *TINY_TRAIN_ARGS, *RUN_16_BACKBONE) == 0
+    return out, data
+
+
+def test_eval_reads_the_backbone_of_the_run_beside_the_checkpoint(tmp_path, capsys):
+    out, data = run_16(tmp_path)
+    reports = []
+    for name, extra in (("beside", []), ("explicit", RUN_16_BACKBONE)):
+        assert run_cli("eval", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--manifest", str(data), "--out", str(tmp_path / name),
+                       *EVAL_FOLDS, *extra) == 0
+        reports.append((tmp_path / name / "report.json").read_text())
+    assert reports[0] == reports[1]
+    # --set still overrides the run's backbone, and a mismatch is still rejected
+    assert run_cli("eval", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--manifest", str(data), "--out", str(tmp_path / "bad"),
+                   *EVAL_FOLDS, "--set", "backbone.embedding_dim=7") == 2
+    assert "proj.weight" in capsys.readouterr().err
+
+
+def test_eval_without_a_run_config_uses_the_defaults(tmp_path, capsys):
+    out, data = run_16(tmp_path)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "checkpoint.npz").write_bytes((out / "checkpoint.npz").read_bytes())
+    args = ["eval", "--checkpoint", str(alone / "checkpoint.npz"), "--manifest", str(data),
+            "--out", str(tmp_path / "report"), *EVAL_FOLDS]
+    assert run_cli(*args) == 2
+    assert "does not match the backbone config" in capsys.readouterr().err
+    assert run_cli(*args, *RUN_16_BACKBONE) == 0
+
+
+def test_eval_rejects_a_malformed_run_config_naming_it(tmp_path, capsys):
+    out, data = run_16(tmp_path)
+    (out / "config.json").write_text('{"backbone": ')
+    assert run_cli("eval", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--manifest", str(data), "--out", str(tmp_path / "report"),
+                   *EVAL_FOLDS, *RUN_16_BACKBONE) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "config.json") in err
+
+
 def test_ot_solve_two_atom_case(tmp_path, capsys):
     cost = tmp_path / "cost.csv"
     cost.write_text("0,1\n1,0\n")

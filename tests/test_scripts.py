@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from otface.cli import METRICS_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,32 @@ def test_train_digest_prints_metrics_rows_and_both_digests():
     # the seed moves the training and so the embeddings, not the held-out pairs
     assert blocks[0][3] != blocks[1][3] and blocks[0][4] == blocks[1][4]
     assert blocks[0][5] != blocks[1][5]
+
+
+def test_train_digest_paired_trains_both_arms_and_summarises_them():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "train_digest.py"), "--src", str(ROOT / "src"),
+         "--epochs", "1", "--seed", "0", "1", "--paired"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 * 7 + 1
+    blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
+    assert [b[0] for b in blocks] == ["seed 0", "seed 0 no-mining", "seed 1", "seed 1 no-mining"]
+    accuracies = [float(b[6].split()[1]) for b in blocks]
+    for ot_block, margin_block in (blocks[:2], blocks[2:]):
+        assert int(ot_block[2].split(",")[4]) > 0 == int(margin_block[2].split(",")[4])
+    diffs = [accuracies[0] - accuracies[1], accuracies[2] - accuracies[3]]
+    match = re.fullmatch(
+        r"paired all seeds=2 wins=(\d+) ties=(\d+) losses=(\d+) mean_diff=(\S+) se=(\S+); "
+        r"margin>=0.9 seeds=(\d+) wins=\d+ ties=\d+ losses=\d+ mean_diff=\S+ se=\S+", lines[-1])
+    assert match, lines[-1]
+    assert int(match[1]) == sum(d > 0 for d in diffs)
+    assert int(match[2]) == sum(d == 0 for d in diffs)
+    assert int(match[3]) == sum(d < 0 for d in diffs)
+    assert float(match[4]) == pytest.approx(sum(diffs) / 2, abs=1e-4)
+    assert float(match[5]) == pytest.approx(abs(diffs[0] - diffs[1]) / 2, abs=1e-4)
+    assert int(match[6]) == sum(margin >= 0.9 for margin in accuracies[1::2])
 
 
 def test_solver_digest_prints_one_line_per_group():
