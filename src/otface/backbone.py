@@ -7,17 +7,21 @@ feeds the OT loss; the last stage is pooled and projected to a unit-norm
 embedding. On the tape each stage is `conv2d`, a bias add and a relu. Off
 it (`embed`, `otface eval`) the stages run as one fused pass, batch
 innermost, whose GEMMs over blocks of output rows keep the bytes of
-whole-stage GEMMs (README, "Numerical notes").
+whole-stage GEMMs (README, "Numerical notes"). Threads run a stage's blocks
+at once: each reads only the finished previous stage, so keeps its bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .tensor import Tensor, _im2col, as_tensor, conv2d, normalize_rows
 
 # Stride-2 stages use an even kernel so the halved output extent is exact.
@@ -104,11 +108,25 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Tens
     return params
 
 
+def _free_cpus() -> int:
+    """The CPUs the untaped pass may fill with threads: all this process may run
+    on if OpenBLAS is pinned to one thread, else one, since its threads do."""
+    if (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) != "1":
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# The pass's worker threads, built on first use in each process: a forked
+# child inherits its parent's pool but none of its threads.
+_pool = functools.cache(lambda pid: ThreadPoolExecutor())
+
+
 def _untaped_stages(images: np.ndarray, params: dict[str, Tensor],
                     cfg: BackboneConfig) -> tuple[Tensor, Tensor]:
     """The stages off the tape, batch innermost, in one allocation: the tap's
     pre-activation as an (N, c, h, w) view, and the last stage's rectified
-    maps C-ordered (N, c, h, w), so the pool sums each map pairwise."""
+    maps C-ordered (N, c, h, w), so the pool sums each map pairwise. A stage's
+    row blocks go to the caller and a worker per further free CPU, joined."""
     n, c, h = images.shape[0], cfg.in_channels, cfg.input_size
     stages, scratch = [], [0, 0]
     for i, c_out in enumerate(cfg.stage_channels):
@@ -125,8 +143,11 @@ def _untaped_stages(images: np.ndarray, params: dict[str, Tensor],
         scratch = [max(scratch[0], c * k * k * widest), max(scratch[1], c_out * widest)]
         stages.append(((c, h + 2 * p, h + 2 * p, n), k, s, p, c_out, o, blocks))
         c, h = c_out, o
-    sizes = [math.prod(shape) for shape, *_ in stages] + [n * c * h * h] + scratch
+    workers = min(_free_cpus(), max(len(st[-1]) for st in stages))
+    sizes = [math.prod(shape) for shape, *_ in stages] + [n * c * h * h] \
+        + [workers * size for size in scratch]
     *bufs, last, cols, outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    cols, outs = cols.reshape(workers, -1), outs.reshape(workers, -1)
     bufs, dests = [b.reshape(st[0]) for b, st in zip(bufs, stages)], []
     for buf, (_, _, _, p, *_) in zip(bufs, stages):  # zero each (c, h+2p, w+2p, N) pad ring
         e = buf.shape[1] - p
@@ -139,14 +160,22 @@ def _untaped_stages(images: np.ndarray, params: dict[str, Tensor],
         if i == cfg.tap_stage:
             tap = np.empty((c_out, o, o, n))
         weight = params[f"stage{i}.weight"].data.reshape(c_out, -1)
-        for r, m in blocks:
-            block = _im2col(x[:, r * s:].transpose(3, 0, 1, 2), k, k, s, m, o,
-                            batch_last=True, out=cols)
-            pre = tap[:, r:r + m] if i == cfg.tap_stage else outs[:c_out * m * o * n]
-            pre = pre.reshape(c_out, -1)
-            np.matmul(weight, block, out=pre)
-            pre += params[f"stage{i}.bias"].data.reshape(-1, 1)
-            np.maximum(pre.reshape(c_out, m, o, n), 0.0, out=dest[:, r:r + m])
+        w = min(workers, len(blocks))
+
+        def run(j: int) -> None:  # every `w`-th block from the j-th, in scratch row j
+            for r, m in blocks[j::w]:
+                block = _im2col(x[:, r * s:].transpose(3, 0, 1, 2), k, k, s, m, o,
+                                batch_last=True, out=cols[j])
+                pre = tap[:, r:r + m] if i == cfg.tap_stage else outs[j, :c_out * m * o * n]
+                pre = pre.reshape(c_out, -1)
+                np.matmul(weight, block, out=pre)
+                pre += params[f"stage{i}.bias"].data.reshape(-1, 1)
+                np.maximum(pre.reshape(c_out, m, o, n), 0.0, out=dest[:, r:r + m])
+
+        jobs = [_pool(os.getpid()).submit(run, j) for j in range(1, w)]
+        run(0)
+        for job in jobs:
+            job.result()
     return Tensor._make(tap.transpose(3, 0, 1, 2), ()), Tensor._make(last, ())
 
 
@@ -199,6 +228,10 @@ def embed(images: np.ndarray, params: dict[str, Tensor], cfg: BackboneConfig,
           batch_size: int = 256) -> np.ndarray:
     """Unit-norm embeddings of `images`, in chunks of `batch_size`, from
     untaped copies of `params`."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
+    if len(images) == 0:
+        raise ContractError("embed needs at least one image, got none")
     frozen = {k: Tensor(v.data) for k, v in params.items()}
     chunks = [forward(Tensor(images[i:i + batch_size]), frozen, cfg).embedding.data
               for i in range(0, images.shape[0], batch_size)]

@@ -1,10 +1,17 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from otface import (
     BackboneConfig,
     ConfigurationError,
+    ContractError,
     Tensor,
+    backbone,
     forward,
     init_params,
     to_distribution,
@@ -130,31 +137,106 @@ BYTE_PIN_CONFIGS = {
 }
 
 
+# Worker counts for the untaped pass, forced through the free CPU count it reads:
+# the caller alone, two and three threads, and more threads than any stage
+# of these backbones has row blocks.
+WORKER_COUNTS = (1, 2, 3, 64)
+
+
 @pytest.mark.parametrize("name", list(BYTE_PIN_CONFIGS))
-def test_row_blocked_pass_gives_the_whole_stage_bytes(name):
+def test_row_blocked_pass_gives_the_whole_stage_bytes(name, monkeypatch):
     # Odd batches put a 1-4 column tail on stages whose position count is
     # not a multiple of 8 (the small and rgb-k5 backbones), and the default
     # backbone's 512- and 1024-term stages leave the BLAS's small-matrix
-    # kernel at batches 1-3 only as whole stages.
+    # kernel at batches 1-3 only as whole stages. However the blocks are
+    # dealt to threads, each block computes the same bytes.
     cfg = BYTE_PIN_CONFIGS[name]
     params = {k: Tensor(v.data) for k, v in init_params(cfg, np.random.default_rng(20)).items()}
     images = np.random.default_rng(21).normal(
         size=(300, cfg.in_channels, cfg.input_size, cfg.input_size))
     for batch in [*range(1, 41), 63, 64, 127, 256, 300]:
-        got = forward(Tensor(images[:batch]), params, cfg)
         tap, embedding = _whole_stage_untaped_forward(images[:batch], params, cfg)
-        assert got.feature_maps.shape == tap.shape, batch
-        assert got.feature_maps.data.tobytes() == tap.data.tobytes(), batch
-        assert got.embedding.data.tobytes() == embedding.data.tobytes(), batch
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(backbone, "_free_cpus", lambda: workers)
+            got = forward(Tensor(images[:batch]), params, cfg)
+            assert got.feature_maps.shape == tap.shape, (batch, workers)
+            assert got.feature_maps.data.tobytes() == tap.data.tobytes(), (batch, workers)
+            assert got.embedding.data.tobytes() == embedding.data.tobytes(), (batch, workers)
 
 
-def test_embed_gives_the_whole_stage_bytes():
+def test_embed_gives_the_whole_stage_bytes(monkeypatch):
     cfg = BYTE_PIN_CONFIGS["acceptance"]
     params = init_params(cfg, np.random.default_rng(22))
     images = np.random.default_rng(23).normal(size=(700, 1, 16, 16))
     want = np.concatenate([_whole_stage_untaped_forward(images[i:i + 256], params, cfg)[1].data
                            for i in range(0, 700, 256)])
-    assert embed(images, params, cfg).tobytes() == want.tobytes()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(backbone, "_free_cpus", lambda: workers)
+        assert embed(images, params, cfg).tobytes() == want.tobytes(), workers
+
+
+def test_the_pass_starts_threads_only_beside_a_one_thread_blas(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for openblas, omp, want in [(None, None, 1), (None, "1", cpus), ("1", None, cpus),
+                                ("1", "2", cpus), ("2", "1", 1), ("4", None, 1)]:
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert backbone._free_cpus() == want, (openblas, omp)
+
+
+def test_a_worker_error_is_raised_in_the_caller(monkeypatch):
+    cfg = BYTE_PIN_CONFIGS["acceptance"]
+    params = {k: Tensor(v.data) for k, v in init_params(cfg, np.random.default_rng(26)).items()}
+    im2col = backbone._im2col
+
+    def fail_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker block")
+        return im2col(*args, **kwargs)
+
+    monkeypatch.setattr(backbone, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(backbone, "_im2col", fail_off_the_caller)
+    with pytest.raises(MemoryError, match="worker block"):
+        forward(Tensor(np.zeros((64, 1, 16, 16))), params, cfg)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_embeds_the_parents_bytes(monkeypatch):
+    # The parent's embed starts its worker threads; a child forked after it
+    # has none of them and must build its own instead of waiting on them.
+    monkeypatch.setattr(backbone, "_free_cpus", lambda: 2)
+    cfg = BYTE_PIN_CONFIGS["acceptance"]
+    params = init_params(cfg, np.random.default_rng(27))
+    images = np.random.default_rng(28).normal(size=(300, 1, 16, 16))
+    want = embed(images, params, cfg).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if embed(images, params, cfg).tobytes() == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's embed did not finish in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_embed_rejects_a_bad_batch_size_or_no_images():
+    cfg = BYTE_PIN_CONFIGS["acceptance"]
+    params = init_params(cfg, np.random.default_rng(29))
+    images = np.zeros((5, 1, 16, 16))
+    for batch_size in (0, -3):
+        with pytest.raises(ConfigurationError, match=rf"batch_size .*{batch_size}"):
+            embed(images, params, cfg, batch_size=batch_size)
+    with pytest.raises(ContractError, match="at least one image"):
+        embed(images[:0], params, cfg)
 
 
 def test_untaped_outputs_do_not_alias_a_later_call():

@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -33,13 +34,21 @@ def test_train_digest_prints_metrics_rows_and_both_digests():
     assert blocks[0][5] != blocks[1][5]
 
 
-def test_train_digest_paired_trains_both_arms_and_summarises_them():
-    done = subprocess.run(
+def _paired_digest(*extra):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "train_digest.py"), "--src", str(ROOT / "src"),
-         "--epochs", "1", "--seed", "0", "1", "--paired"],
+         "--epochs", "1", "--seed", "0", "1", "--paired", *extra],
         capture_output=True, text=True, timeout=300, check=True,
-    )
-    lines = done.stdout.splitlines()
+    ).stdout
+
+
+@pytest.fixture(scope="module")
+def paired_digest():
+    return _paired_digest()
+
+
+def test_train_digest_paired_trains_both_arms_and_summarises_them(paired_digest):
+    lines = paired_digest.splitlines()
     assert len(lines) == 4 * 7 + 1
     blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
     assert [b[0] for b in blocks] == ["seed 0", "seed 0 no-mining", "seed 1", "seed 1 no-mining"]
@@ -57,6 +66,22 @@ def test_train_digest_paired_trains_both_arms_and_summarises_them():
     assert float(match[4]) == pytest.approx(sum(diffs) / 2, abs=1e-4)
     assert float(match[5]) == pytest.approx(abs(diffs[0] - diffs[1]) / 2, abs=1e-4)
     assert int(match[6]) == sum(margin >= 0.9 for margin in accuracies[1::2])
+
+
+def test_train_digest_jobs_print_the_serial_lines_and_append_a_record(paired_digest, tmp_path):
+    record = tmp_path / "sweep.json"
+    record.write_text('[{"commit": "earlier"}]')
+    assert _paired_digest("--jobs", "2", "--json", str(record)) == paired_digest
+    earlier, entry = json.loads(record.read_text())
+    assert earlier == {"commit": "earlier"}
+    lines = paired_digest.splitlines()
+    assert entry["epochs"] == 1 and entry["paired"] == lines[-1]
+    assert [seed["seed"] for seed in entry["seeds"]] == [0, 1]
+    blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
+    for seed, (ot_block, margin_block) in zip(entry["seeds"], (blocks[:2], blocks[2:])):
+        for arm, block in (("ot", ot_block), ("margin", margin_block)):
+            assert block[3] == f"params sha256 {seed[arm]['params_sha256']}"
+            assert block[6] == f"accuracy {seed[arm]['accuracy']!r}"
 
 
 def test_solver_digest_prints_one_line_per_group():

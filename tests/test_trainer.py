@@ -169,6 +169,15 @@ def test_embed_shape_and_norm(tmp_path):
     assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-9
 
 
+def test_embed_rejects_a_bad_batch_size_or_no_images(tmp_path):
+    images, labels = _dataset(tmp_path, 0.5, "d")
+    trainer = _trainer(images, labels)
+    with pytest.raises(ConfigurationError, match="batch_size must be at least 1, got 0"):
+        trainer.embed(images, batch_size=0)
+    with pytest.raises(ContractError, match="at least one image"):
+        trainer.embed(images[:0])
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ContractError):
         _trainer(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=int))
