@@ -24,7 +24,12 @@ processes, started with the `spawn` method so that none inherits the
 parent's threads, and prints the same lines in the same order as `--jobs
 1`. `--json PATH` (with `--paired`) appends one entry for the run to the
 JSON list in PATH: the source tree's commit, the epochs, each seed's
-accuracy and params digest in both arms, and the `paired` line.
+accuracy and params digest in both arms, and the `paired` line. If PATH
+already holds entries with the same epochs and seeds, one `against` line
+follows the `paired` line, read against the last of them: its commit,
+its mean paired difference over all seeds, this run's, the change, the
+floor of that mean less 2 of its standard errors, and `within_2se=yes`
+if this run's mean is at or above the floor (`no` if below).
 
     python scripts/train_digest.py --src src --seed 0 --epochs 3
     python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
@@ -51,13 +56,19 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 
+def _mean_se(diffs: list[float]) -> tuple[float, float]:
+    """The mean of `diffs` and its standard error (nan where undefined)."""
+    mean = sum(diffs) / len(diffs) if diffs else math.nan
+    se = (math.sqrt(sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1) / len(diffs))
+          if len(diffs) > 1 else math.nan)
+    return mean, se
+
+
 def _summary(label: str, arms: list[tuple[float, float]]) -> str:
     """Wins, ties and losses of with-OT over margin-only, and the mean
     paired difference with its standard error (nan where undefined)."""
     diffs = [ot - margin for ot, margin in arms]
-    mean = sum(diffs) / len(diffs) if diffs else math.nan
-    se = (math.sqrt(sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1) / len(diffs))
-          if len(diffs) > 1 else math.nan)
+    mean, se = _mean_se(diffs)
     wins, ties = sum(d > 0 for d in diffs), sum(d == 0 for d in diffs)
     return (f"{label} seeds={len(diffs)} wins={wins} ties={ties} "
             f"losses={len(diffs) - wins - ties} mean_diff={mean:+.4f} se={se:.4f}")
@@ -120,6 +131,18 @@ def _arm(src: str, epochs: int, paired: bool,
     return lines, accuracy, digest.hexdigest()
 
 
+def _against(entry: dict, diffs: list[float]) -> str:
+    """How the mean paired difference over all seeds moved from an earlier
+    record entry's, and whether it is at least that entry's mean less 2 of
+    its standard errors."""
+    mean = _mean_se(diffs)[0]
+    then, se = _mean_se([s["ot"]["accuracy"] - s["margin"]["accuracy"] for s in entry["seeds"]])
+    floor = then - 2 * se
+    return (f"against {entry['commit']} mean_diff={then:+.4f} now={mean:+.4f} "
+            f"change={mean - then:+.4f} floor={floor:+.4f} "
+            f"within_2se={'yes' if mean >= floor else 'no'}")
+
+
 def _commit(src: Path) -> str | None:
     """The commit of the git tree holding `src`, marked `-dirty` when
     `src` has uncommitted changes; None outside a git tree."""
@@ -171,6 +194,10 @@ def main() -> int:
     print(paired)
     if args.json:
         record = json.loads(args.json.read_text()) if args.json.exists() else []
+        same = [entry for entry in record if entry.get("epochs") == args.epochs
+                and [s["seed"] for s in entry.get("seeds", [])] == args.seed]
+        if same:
+            print(_against(same[-1], [ot[0] - margin[0] for ot, margin in pairs]))
         record.append({
             "commit": _commit(args.src), "epochs": args.epochs, "paired": paired,
             "seeds": [{"seed": seed, **{arm: {"accuracy": accuracy, "params_sha256": params}

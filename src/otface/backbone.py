@@ -4,11 +4,12 @@ Stage 0 keeps the input resolution; every later stage halves it with a
 stride-2 conv, so stage k outputs (input_size / 2^k)^2 spatial positions.
 One stage's output is tapped as the per-pixel feature distribution that
 feeds the OT loss; the last stage is pooled and projected to a unit-norm
-embedding. On the tape each stage is `conv2d`, a bias add and a relu. Off
-it (`embed`, `otface eval`) the stages run as one fused pass, batch
-innermost, whose GEMMs over blocks of output rows keep the bytes of
-whole-stage GEMMs (README, "Numerical notes"). Threads run a stage's blocks
-at once: each reads only the finished previous stage, so keeps its bytes.
+embedding. Every stage runs batch innermost, (c, h, w, n). On the tape it
+is one `conv2d` node with its bias, then a relu. Off it (`embed`, `otface
+eval`) the stages run as one fused pass whose GEMMs over blocks of output
+rows keep the tape's bytes (README, "Numerical notes"). Threads run a
+stage's blocks at once: each reads only the finished previous stage, so
+keeps its bytes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class BackboneConfig:
 
 @dataclass
 class ForwardOutput:
-    feature_maps: Tensor  # (N, d_tap, h, w)
+    feature_maps: Tensor  # (N, d_tap, h, w), from a (d_tap, h, w, N) stage
     embedding: Tensor     # (N, embedding_dim), rows unit-norm
 
 
@@ -164,8 +165,7 @@ def _untaped_stages(images: np.ndarray, params: dict[str, Tensor],
 
         def run(j: int) -> None:  # every `w`-th block from the j-th, in scratch row j
             for r, m in blocks[j::w]:
-                block = _im2col(x[:, r * s:].transpose(3, 0, 1, 2), k, k, s, m, o,
-                                batch_last=True, out=cols[j])
+                block = _im2col(x[:, r * s:], k, k, s, m, o, out=cols[j])
                 pre = tap[:, r:r + m] if i == cfg.tap_stage else outs[j, :c_out * m * o * n]
                 pre = pre.reshape(c_out, -1)
                 np.matmul(weight, block, out=pre)
@@ -196,15 +196,17 @@ def forward(images: Tensor, params: dict[str, Tensor],
                                    if name.startswith("stage"))):
         tap, x = _untaped_stages(x.data, params, cfg)
     else:
+        x = x.transpose((1, 2, 3, 0))
         for i in range(len(cfg.stage_channels)):
             _, stride, pad = cfg.stage_kernel(i)
-            x = conv2d(x, params[f"stage{i}.weight"], stride=stride, padding=pad)
-            x = x + params[f"stage{i}.bias"].reshape(1, -1, 1, 1)
+            x = conv2d(x, params[f"stage{i}.weight"], stride=stride, padding=pad,
+                       bias=params[f"stage{i}.bias"])
             if i == cfg.tap_stage:
                 # pre-activation: rectified maps routinely contain all-zero
                 # pixel vectors, which are degenerate atoms for cosine cost
-                tap = x
+                tap = x.transpose((3, 0, 1, 2))
             x = x.relu()
+        x = x.transpose((3, 0, 1, 2))  # C-ordered, so each map sums pairwise
     pooled = x.mean(axis=(2, 3))                      # (N, c_last)
     embedding = pooled @ params["proj.weight"] + params["proj.bias"].reshape(1, -1)
     embedding = normalize_rows(embedding)

@@ -214,6 +214,12 @@ class Tensor:
         return Tensor._make(self.data.reshape(shape), (self,),
                             lambda g: self._accum(g.reshape(self.data.shape)))
 
+    def transpose(self, axes) -> "Tensor":
+        """The axes permuted as `axes` orders them, copied C-ordered."""
+        back = np.argsort(axes)
+        return Tensor._make(np.ascontiguousarray(self.data.transpose(axes)), (self,),
+                            lambda g: self._accum(g.transpose(back)))
+
     def gather(self, indices) -> "Tensor":
         """Rows at `indices`; backward adds each cell's gradients in index order."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -316,69 +322,69 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int,
-            batch_last: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Columns (c*kh*kw, n*out_h*out_w) of a padded (n, c, h, w) input,
-    copied once from a strided view, into the front of the flat `out` if
-    given; the columns run (n, out_h, out_w), or (out_h, out_w, n) with
-    `batch_last`."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    windows = as_strided(xp, (c, kh, kw, n, out_h, out_w),
-                         (sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
-    if batch_last:
-        windows = windows.transpose(0, 1, 2, 4, 5, 3)
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Columns (c*kh*kw, out_h*out_w*n) of a padded (c, h, w, n) input, run
+    (out_h, out_w, n), copied once from a strided view, into the front of
+    the flat `out` if given."""
+    c, n = xp.shape[0], xp.shape[3]
+    sc, sh, sw, sn = xp.strides
+    windows = as_strided(xp, (c, kh, kw, out_h, out_w, n),
+                         (sc, sh, sw, stride * sh, stride * sw, sn), writeable=False)
     if out is None:
-        return windows.reshape(c * kh * kw, n * out_h * out_w)
+        return windows.reshape(c * kh * kw, out_h * out_w * n)
     out = out[:windows.size].reshape(windows.shape)
     out[...] = windows
-    return out.reshape(c * kh * kw, n * out_h * out_w)
+    return out.reshape(c * kh * kw, out_h * out_w * n)
 
 
 def _conv_input_grad(g2: np.ndarray, kernels: np.ndarray, x_shape: tuple[int, ...],
                      stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
-    """Input gradient of `conv2d` from its (c_out, n*out_h*out_w) output
+    """Input gradient of `conv2d` from its (c_out, out_h*out_w*n) output
     gradient, in gather form. Padded-input row s*q + a meets only kernel
     rows a + s*m (columns likewise), so each of the s*s phases is a
     stride-1 correlation of the zero-padded gradient with that phase's
-    flipped sub-kernel: one GEMM for all phases, then one interleave copy."""
-    n, c, h, w = x_shape
+    flipped sub-kernel: one GEMM for all phases, then one interleave copy,
+    batch innermost."""
+    c, h, w, n = x_shape
     co, _, kh, kw = kernels.shape
     s, mh, mw = stride, -(-kh // stride), -(-kw // stride)
     k = np.zeros((co, c, mh * s, mw * s))
     k[:, :, :kh, :kw] = kernels
     k = k.reshape(co, c, mh, s, mw, s)[:, :, ::-1, :, ::-1]  # (co, c, m, a, l, b)
     qh, qw = out_h + mh - 1, out_w + mw - 1
-    gp = np.zeros((co, n, qh + mh - 1, qw + mw - 1))
-    gp[:, :, mh - 1:qh, mw - 1:qw] = g2.reshape(co, n, out_h, out_w)
-    cols = _im2col(gp.transpose(1, 0, 2, 3), mh, mw, 1, qh, qw)
+    gp = np.zeros((co, qh + mh - 1, qw + mw - 1, n))
+    gp[:, mh - 1:qh, mw - 1:qw] = g2.reshape(co, out_h, out_w, n)
+    cols = _im2col(gp, mh, mw, 1, qh, qw)
     del gp
     phases = k.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, -1) @ cols  # (a, b, c) rows
     del cols
-    gx = phases.reshape(s, s, c, n, qh, qw).transpose(3, 2, 4, 0, 5, 1)  # (n, c, q, a, p, b)
-    return gx.reshape(n, c, qh * s, qw * s)[:, :, padding:padding + h, padding:padding + w]
+    gx = phases.reshape(s, s, c, qh, qw, n).transpose(2, 3, 0, 4, 1, 5)  # (c, q, a, p, b, n)
+    return gx.reshape(c, qh * s, qw * s, n)[:, padding:padding + h, padding:padding + w]
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Strided cross-correlation of `x` with `kernels`.
+def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """Strided cross-correlation of `x` with `kernels`, plus `bias` if given.
 
-    `x` is (n, c_in, h, w) and `kernels` is (c_out, c_in, kh, kw). Output
-    spatial extent is (h + 2*padding - kh)/stride + 1, which must be
-    integral. The forward pass, the kernel gradient and the input gradient
-    are each one 2-D GEMM against im2col columns (of the input, or of the
-    padded output gradient), with the batch in the column dimension; the
-    columns run (n, oh, ow).
+    `x` is batch-innermost (c_in, h, w, n), `kernels` (c_out, c_in, kh, kw),
+    `bias` (c_out,), and the output is (c_out, oh, ow, n), where the output
+    spatial extent (h + 2*padding - kh)/stride + 1 must be integral. The
+    forward pass, the kernel gradient and the input gradient are each one
+    2-D GEMM against im2col columns (of the input, or of the padded output
+    gradient) that run (oh, ow, n), so every copy walks the batch
+    innermost; the bias gradient is one row sum of the output gradient.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeMismatchError(
-            f"conv2d expects (n,c,h,w) input and (co,ci,kh,kw) kernels, "
+            f"conv2d expects (c,h,w,n) input and (co,ci,kh,kw) kernels, "
             f"got {x.data.shape} and {kernels.data.shape}"
         )
     for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
         if value < low:
             raise ConfigurationError(f"conv2d {name} must be >= {low}, got {value}")
-    n, c_in, h, w = x.data.shape
+    c_in, h, w, n = x.data.shape
     c_out, c_in_k, kh, kw = kernels.data.shape
     if c_in != c_in_k:
         raise ShapeMismatchError(
@@ -389,20 +395,25 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
     xp = x.data
     if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:-padding, padding:-padding] = x.data
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (ci*kh*kw, n*oh*ow)
-    wmat = kernels.data.reshape(c_out, -1)
-    out_data = (wmat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n))
+        xp[:, padding:-padding, padding:-padding] = x.data
+    cols = _im2col(xp, kh, kw, stride, out_h, out_w)  # (ci*kh*kw, oh*ow*n)
+    bias = as_tensor(np.zeros(c_out) if bias is None else bias)
+    if bias.data.shape != (c_out,):
+        raise ShapeMismatchError(f"conv2d bias must be ({c_out},), got {bias.data.shape}")
+    out_data = kernels.data.reshape(c_out, -1) @ cols
+    out_data += bias.data.reshape(c_out, 1)
 
     def _bw(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * out_h * out_w)
+        g2 = g.reshape(c_out, -1)
         if kernels.requires_grad:
             kernels._accum((g2 @ cols.T).reshape(kernels.data.shape))
+        if bias.requires_grad:
+            bias._accum(g2.sum(axis=1))
         if x.requires_grad:
             x._accum(_conv_input_grad(g2, kernels.data, x.data.shape, stride,
                                       padding, out_h, out_w))
-    return Tensor._make(out_data, (x, kernels), _bw)
+    return Tensor._make(out_data.reshape(c_out, out_h, out_w, n), (x, kernels, bias), _bw)
 
 
 # ---------------------------------------------------------------------------

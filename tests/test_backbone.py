@@ -10,16 +10,21 @@ from otface import (
     BackboneConfig,
     ConfigurationError,
     ContractError,
+    MarginConfig,
+    SinkhornConfig,
     Tensor,
+    TrainConfig,
+    Trainer,
     backbone,
     forward,
     init_params,
     to_distribution,
 )
 from otface.backbone import embed
+from otface.data import generate_synthetic, load_dataset
 from otface.tensor import _im2col, normalize_rows
 
-from conftest import numeric_grad, rel_err
+from conftest import conv2d_reference, numeric_grad, rel_err
 
 
 def small_cfg():
@@ -77,21 +82,27 @@ def test_embed_does_not_depend_on_chunk_size():
     assert np.max(np.abs(small - whole)) < 1e-12
 
 
-@pytest.mark.parametrize("tap_stage", [0, 1, 2])
-@pytest.mark.parametrize("batch", [1, 33])
-def test_untaped_forward_gives_the_taped_bytes(tap_stage, batch):
-    # The untaped pass runs each stage's GEMM over blocks of output rows,
-    # batch innermost. A block is one row, grown to a multiple of 8 columns
-    # (OpenBLAS's dgemm rounds a 1-4 column tail in another kernel) and past
-    # its small-matrix size if the whole stage is past it; only the last
-    # block has a tail. Every stage of this backbone (the acceptance and
-    # benchmark one) has a multiple of 8 positions, so no block has a tail
-    # and the blocks give the bytes of the tape's (n, oh, ow) column order.
-    # The pooled mean must still sum each map's cells pairwise, as on the tape.
-    cfg = BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
-                         embedding_dim=32, tap_stage=tap_stage)
+@pytest.mark.parametrize("cfg,batch", [
+    *(pytest.param(BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
+                                  embedding_dim=32, tap_stage=tap_stage),
+                   batch, id=f"{batch}-{tap_stage}")
+      for batch in (1, 33) for tap_stage in (0, 1, 2)),
+    *(pytest.param(BackboneConfig(), batch, id=f"default-{batch}") for batch in (1, 3, 4, 33)),
+    *(pytest.param(small_cfg(), batch, id=f"small-{batch}") for batch in (1, 33)),
+])
+def test_untaped_forward_gives_the_taped_bytes(cfg, batch):
+    # Both passes run each stage as GEMMs over the same (oh, ow, n) columns,
+    # the untaped one over blocks of output rows. A block is one row, grown
+    # to a multiple of 8 columns (OpenBLAS's dgemm rounds a 1-4 column tail
+    # in another kernel) and past its small-matrix size if the whole stage is
+    # past it; only the last block has a tail. The small backbone's 2x2
+    # stage puts a 4-column tail on odd batches. The default backbone's stage 2
+    # sums 512 terms, past the small-matrix kernel's 384, which at batches
+    # 1-3 its whole stage runs through and from 4 on does not. The pooled
+    # mean must sum each map's cells pairwise in both passes.
     params = init_params(cfg, np.random.default_rng(16))
-    images = Tensor(np.random.default_rng(batch).normal(size=(batch, 1, 16, 16)))
+    images = Tensor(np.random.default_rng(batch).normal(
+        size=(batch, cfg.in_channels, cfg.input_size, cfg.input_size)))
     taped = forward(images, params, cfg)
     frozen = forward(images, {k: Tensor(v.data) for k, v in params.items()}, cfg)
     assert taped.embedding.requires_grad and not frozen.embedding.requires_grad
@@ -110,10 +121,10 @@ def _whole_stage_untaped_forward(images, params, cfg):
         k, stride, pad = cfg.stage_kernel(i)
         n, c, h, w = x.shape
         out_h = (h + 2 * pad - k) // stride + 1
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n)).transpose(3, 0, 1, 2)
-        xp[:, :, pad:pad + h, pad:pad + w] = x.data
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
+        xp[:, pad:pad + h, pad:pad + w] = x.data.transpose(1, 2, 3, 0)
         wmat = params[f"stage{i}.weight"].data.reshape(cfg.stage_channels[i], -1)
-        out = wmat @ _im2col(xp, k, k, stride, out_h, out_h, batch_last=True)
+        out = wmat @ _im2col(xp, k, k, stride, out_h, out_h)
         x = Tensor._make(out.reshape(-1, out_h, out_h, n).transpose(3, 0, 1, 2), ())
         x = x + params[f"stage{i}.bias"].reshape(1, -1, 1, 1)
         if i == cfg.tap_stage:
@@ -350,3 +361,52 @@ def test_parameter_gradients_match_finite_differences():
             fd = (f(flat[i] + eps) - f(flat[i] - eps)) / (2 * eps)
             got = params[name].grad.reshape(-1)[i]
             assert rel_err(got, fd) < 1e-3
+
+
+def _reference_conv2d(x, kernels, stride=1, padding=0, bias=None):
+    """`conv2d`'s node, batch-innermost at its boundary, computed by the
+    nested-loop reference in (n, c, h, w)."""
+    x0 = x.data.transpose(3, 0, 1, 2)
+    n, _, h, w = x0.shape
+    out_shape = (n, len(kernels.data), (h + 2 * padding - kernels.shape[2]) // stride + 1,
+                 (w + 2 * padding - kernels.shape[3]) // stride + 1)
+    out = conv2d_reference(x0, kernels.data, stride, padding, np.zeros(out_shape))[0]
+
+    def _bw(g):
+        g = g.transpose(3, 0, 1, 2)
+        _, gx, gk = conv2d_reference(x0, kernels.data, stride, padding, g)
+        if x.requires_grad:
+            x._accum(gx.transpose(1, 2, 3, 0))
+        kernels._accum(gk)
+        bias._accum(g.sum(axis=(0, 2, 3)))
+    out += bias.data[:, None, None]
+    return Tensor._make(out.transpose(1, 2, 3, 0), (x, kernels, bias), _bw)
+
+
+def test_training_step_gradients_match_the_nested_loop_conv(tmp_path, monkeypatch):
+    # One with-OT step of the acceptance backbone at batch 32: the GEMM
+    # convolutions sum in other orders than the loop, so the step's parameter
+    # gradients may differ by rounding, and by nothing more.
+    manifest = generate_synthetic(tmp_path / "d", 8, 4, 0.7, seed=31, image_size=16)
+    images, labels = load_dataset(manifest, "train")
+    trainer = Trainer(
+        images, labels, BYTE_PIN_CONFIGS["acceptance"],
+        MarginConfig(variant="additive_cosine", scale=16.0, margin=0.2),
+        SinkhornConfig(epsilon=0.1, unroll_iters=15),
+        TrainConfig(batch_size=32, epochs=1, lr_milestones=(), sampler_p=8, sampler_k=4),
+        cap_per_anchor=1, hinge_margin=0.1, lambda_ot=0.2)
+
+    def step_gradients():
+        for p in trainer.state.params.values():
+            p.zero_grad()
+        loss = trainer._loss_for_batch(np.arange(32))
+        assert loss.num_hard_groups > 0
+        loss.total.backward()
+        return {k: p.grad for k, p in trainer.state.params.items()}
+
+    got = step_gradients()
+    monkeypatch.setattr(backbone, "conv2d", _reference_conv2d)
+    want = step_gradients()
+    assert got.keys() == want.keys()
+    for name, grad in got.items():
+        assert rel_err(grad, want[name]) < 1e-12, name

@@ -84,6 +84,27 @@ def test_train_digest_jobs_print_the_serial_lines_and_append_a_record(paired_dig
             assert block[6] == f"accuracy {seed[arm]['accuracy']!r}"
 
 
+def test_train_digest_json_reads_the_run_against_an_earlier_entry(paired_digest, tmp_path):
+    # two entries: one of the same epochs and seeds, whose diffs +0.01 and
+    # +0.03 give mean +0.02 and SE 0.01, so floor 0; one of other epochs
+    record = tmp_path / "sweep.json"
+    seeds = [{"seed": seed, "ot": {"accuracy": 0.5 + diff}, "margin": {"accuracy": 0.5}}
+             for seed, diff in ((0, 0.01), (1, 0.03))]
+    record.write_text(json.dumps([{"commit": "same", "epochs": 1, "seeds": seeds},
+                                  {"commit": "other", "epochs": 30, "seeds": seeds}]))
+    lines = _paired_digest("--json", str(record)).splitlines()
+    assert "\n".join(lines[:-1]) + "\n" == paired_digest
+    accuracies = [float(line.split()[1]) for line in lines if line.startswith("accuracy ")]
+    now = (accuracies[0] - accuracies[1] + accuracies[2] - accuracies[3]) / 2
+    match = re.fullmatch(r"against same mean_diff=\+0\.0200 now=(\S+) change=(\S+) "
+                         r"floor=\+0\.0000 within_2se=(yes|no)", lines[-1])
+    assert match, lines[-1]
+    assert float(match[1]) == pytest.approx(now, abs=1e-4)
+    assert float(match[2]) == pytest.approx(now - 0.02, abs=1e-4)
+    assert match[3] == ("yes" if now >= 0.0 else "no")
+    assert [entry["commit"] for entry in json.loads(record.read_text())][:2] == ["same", "other"]
+
+
 def test_solver_digest_prints_one_line_per_group():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "solver_digest.py"),

@@ -15,7 +15,7 @@ from otface import (
     stack,
 )
 
-from conftest import check_grad, numeric_grad, rel_err
+from conftest import check_grad, conv2d_reference, numeric_grad, rel_err
 
 
 def test_rejects_non_finite_data():
@@ -112,6 +112,8 @@ _OP_CASES = {
     "arccos": lambda t, c: (t * 0.5).arccos().sum(),
     "reshape": lambda t, c: (t.reshape(-1) * t.reshape(-1)).sum(),
     "transpose": lambda t, c: (t.mT @ c).sum(),
+    "transpose_axes": lambda t, c: (t.reshape(3, 1, 3).transpose((2, 0, 1)).reshape(3, 3)
+                                    * c).sum(),
     "gather": lambda t, c: (t.gather([2, 0, 2]) * 3.0).sum(),
     "mean": lambda t, c: (t * t).mean(),
     "sum_axis": lambda t, c: (t.sum(axis=1) * t.sum(axis=0)).sum(),
@@ -135,7 +137,9 @@ def test_op_gradients_match_finite_differences(name):
 
 # nodes that no scenario above builds, each from one call
 _NODE_CASES = {
-    "conv2d": lambda t, c: conv2d(t.reshape(1, 1, 3, 3), c.reshape(1, 1, 3, 3), padding=1),
+    "conv2d": lambda t, c: conv2d(t.reshape(1, 3, 3, 1), c.reshape(1, 1, 3, 3), padding=1),
+    "conv2d_bias": lambda t, c: conv2d(c.reshape(1, 3, 3, 1), t.reshape(1, 1, 3, 3),
+                                       padding=1, bias=t.mean().reshape(1)),
     "stack": lambda t, c: stack([t, c]),
     "ot_distance": lambda t, c: ot_distance(t, c, SinkhornConfig(epsilon=0.1)),
 }
@@ -192,87 +196,88 @@ def _sum_sq(t):
     return (t * t).sum()
 
 
+def _chwn(a):
+    """An (n, c, h, w) array in conv2d's batch-innermost (c, h, w, n) layout."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def _nchw(a):
+    return a.transpose(3, 0, 1, 2)
+
+
 def test_conv2d_ones_with_scalar_kernel():
-    out = conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor([[[[2.0]]]]))
-    assert out.shape == (1, 1, 3, 3)
-    assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
+    out = conv2d(Tensor(np.ones((1, 3, 3, 1))), Tensor([[[[2.0]]]]))
+    assert out.shape == (1, 3, 3, 1)
+    assert np.array_equal(out.data, np.full((1, 3, 3, 1), 2.0))
 
 
 def test_conv2d_impulse_response_of_averaging_kernel():
     image = np.zeros((1, 1, 5, 5))
     image[0, 0, 2, 2] = 1.0
     kernel = np.full((1, 1, 3, 3), 1.0 / 9.0)
-    out = conv2d(Tensor(image), Tensor(kernel), stride=1, padding=1)
+    out = conv2d(Tensor(_chwn(image)), Tensor(kernel), stride=1, padding=1)
     expected = np.zeros((1, 1, 5, 5))
     expected[0, 0, 1:4, 1:4] = 1.0 / 9.0
-    assert np.allclose(out.data, expected)
+    assert np.allclose(_nchw(out.data), expected)
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeMismatchError, match="channel mismatch"):
-        conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+        conv2d(Tensor(np.ones((2, 4, 4, 1))), Tensor(np.ones((1, 3, 3, 3))))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+def test_conv2d_rejects_a_bias_of_the_wrong_shape(shape):
+    # a (1,) bias would broadcast over the channels, and its gradient not fit it
+    with pytest.raises(ShapeMismatchError, match=r"bias must be \(2,\)"):
+        conv2d(Tensor(np.ones((3, 4, 4, 1))), Tensor(np.ones((2, 3, 3, 3))),
+               bias=Tensor(np.ones(shape)))
 
 
 def test_conv2d_rejects_an_unbatched_image():
-    with pytest.raises(ShapeMismatchError, match=r"\(n,c,h,w\)"):
+    with pytest.raises(ShapeMismatchError, match=r"\(c,h,w,n\)"):
         conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
 
 def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    x0 = rng.normal(size=(1, 1, 5, 5))
+    x0 = _chwn(rng.normal(size=(1, 1, 5, 5)))
     k0 = rng.normal(size=(2, 1, 3, 3))
     check_grad(lambda t: _sum_sq(conv2d(t, Tensor(k0), stride=2, padding=1)),
                x0, tol=1e-4)
     check_grad(lambda t: _sum_sq(conv2d(Tensor(x0), t, stride=1, padding=0)),
                k0, tol=1e-4)
     # batched, multi-channel, with the overlapping 4x4 stride-2 windows
-    x0 = rng.normal(size=(2, 3, 6, 6))
+    x0 = _chwn(rng.normal(size=(2, 3, 6, 6)))
     k0 = rng.normal(size=(4, 3, 4, 4))
     check_grad(lambda t: _sum_sq(conv2d(t, Tensor(k0), stride=2, padding=1)),
                x0, tol=1e-6)
     check_grad(lambda t: _sum_sq(conv2d(Tensor(x0), t, stride=2, padding=1)),
                k0, tol=1e-6)
-
-
-def _conv2d_reference(x, k, stride, padding, g):
-    """Direct loop over (n, c_out, y, x): the conv output, and the input and
-    kernel gradients of sum(output * g)."""
-    n, _, h, w = x.shape
-    c_out, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((n, c_out, (h + 2 * padding - kh) // stride + 1,
-                    (w + 2 * padding - kw) // stride + 1))
-    gxp = np.zeros_like(xp)
-    gk = np.zeros_like(k)
-    for b in range(n):
-        for o in range(c_out):
-            for y in range(out.shape[2]):
-                for x_ in range(out.shape[3]):
-                    rows = slice(y * stride, y * stride + kh)
-                    cols = slice(x_ * stride, x_ * stride + kw)
-                    out[b, o, y, x_] = np.sum(xp[b, :, rows, cols] * k[o])
-                    gxp[b, :, rows, cols] += g[b, o, y, x_] * k[o]
-                    gk[o] += g[b, o, y, x_] * xp[b, :, rows, cols]
-    return out, gxp[:, :, padding:padding + h, padding:padding + w], gk
+    b0 = rng.normal(size=4)
+    check_grad(lambda t: _sum_sq(conv2d(Tensor(x0), Tensor(k0), stride=2, padding=1,
+                                        bias=t)), b0, tol=1e-6)
 
 
 def _check_against_reference(x0, k0, stride, padding, rng, x0_untaped=None):
-    """The taped conv2d and its gradients against the nested-loop reference,
-    then the untaped forward, on `x0_untaped` (default `x0`), which must give
-    the taped bytes: both run the same GEMM."""
-    x = Tensor(x0, requires_grad=True)
+    """The taped conv2d, with a bias, and its gradients against the nested-loop
+    reference, all in (n, c, h, w) and transposed at conv2d's batch-innermost
+    boundary; then the untaped forward, on `x0_untaped` (default `x0`), which
+    must give the taped bytes: both run the same GEMM."""
+    x = Tensor(_chwn(x0), requires_grad=True)
     kernels = Tensor(k0, requires_grad=True)
-    out = conv2d(x, kernels, stride=stride, padding=padding)
-    g = rng.normal(size=out.shape)
-    (out * Tensor(g)).sum().backward()
-    ref_out, ref_gx, ref_gk = _conv2d_reference(x0, k0, stride, padding, g)
-    assert out.shape == ref_out.shape
-    assert rel_err(out.data, ref_out) < 1e-12
-    assert rel_err(x.grad, ref_gx) < 1e-12
+    bias = Tensor(rng.normal(size=len(k0)), requires_grad=True)
+    out = conv2d(x, kernels, stride=stride, padding=padding, bias=bias)
+    g = rng.normal(size=_nchw(out.data).shape)
+    (out * Tensor(_chwn(g))).sum().backward()
+    ref_out, ref_gx, ref_gk = conv2d_reference(x0, k0, stride, padding, g)
+    assert _nchw(out.data).shape == ref_out.shape
+    assert rel_err(_nchw(out.data), ref_out + bias.data[:, None, None]) < 1e-12
+    assert rel_err(_nchw(x.grad), ref_gx) < 1e-12
     assert rel_err(kernels.grad, ref_gk) < 1e-12
-    untaped = conv2d(Tensor(x0 if x0_untaped is None else x0_untaped), Tensor(k0),
-                     stride=stride, padding=padding)
+    assert rel_err(bias.grad, g.sum(axis=(0, 2, 3))) < 1e-12
+    untaped = conv2d(Tensor(_chwn(x0 if x0_untaped is None else x0_untaped)), Tensor(k0),
+                     stride=stride, padding=padding, bias=Tensor(bias.data))
     assert not untaped.requires_grad
     assert untaped.data.tobytes() == out.data.tobytes()
 
@@ -313,24 +318,23 @@ def test_conv2d_single_image_and_rectangular_match_reference(x_shape, k_shape,
 
 
 def test_conv2d_on_previous_stage_output_matches_reference():
-    # the input is a stage-0 output, (c, n, h, w) in memory, taped or not
+    # the input is a stage-0 output, C-ordered (c, h, w, n), taped or not
     rng = np.random.default_rng(23)
     x0 = rng.normal(size=(3, 2, 8, 8))
     k_prev = rng.normal(size=(4, 2, 3, 3))
-    taped = conv2d(Tensor(x0, requires_grad=True), Tensor(k_prev), padding=1).data
-    untaped = conv2d(Tensor(x0), Tensor(k_prev), padding=1).data
+    taped = conv2d(Tensor(_chwn(x0), requires_grad=True), Tensor(k_prev), padding=1).data
+    untaped = conv2d(Tensor(_chwn(x0)), Tensor(k_prev), padding=1).data
     assert untaped.tobytes() == taped.tobytes()
-    assert taped.strides[1] > taped.strides[0] > taped.strides[2]
-    assert untaped.strides == taped.strides
+    assert taped.flags.c_contiguous and untaped.flags.c_contiguous
     k0 = rng.normal(size=(5, 4, 4, 4))
-    _check_against_reference(taped, k0, 2, 1, rng, x0_untaped=untaped)
+    _check_against_reference(_nchw(taped), k0, 2, 1, rng, x0_untaped=_nchw(untaped))
 
 
 def test_conv2d_stride_2_odd_kernel_gradients_match_central_differences():
     # the loss is quadratic in either argument, so a unit step is exact up
     # to rounding
     rng = np.random.default_rng(19)
-    x0 = rng.normal(size=(2, 2, 7, 7))
+    x0 = _chwn(rng.normal(size=(2, 2, 7, 7)))
     k0 = rng.normal(size=(3, 2, 3, 3))
     check_grad(lambda t: _sum_sq(conv2d(t, Tensor(k0), stride=2, padding=1)),
                x0, tol=1e-12, eps=1.0)
@@ -345,14 +349,14 @@ def test_conv2d_stride_2_odd_kernel_gradients_match_central_differences():
 ])
 def test_conv2d_rejects_bad_stride_or_padding(extent, stride, padding, name):
     with pytest.raises(ConfigurationError, match=f"conv2d {name} must be"):
-        conv2d(Tensor(np.ones((1, 1, extent, extent))), Tensor(np.ones((1, 1, 3, 3))),
+        conv2d(Tensor(np.ones((1, extent, extent, 1))), Tensor(np.ones((1, 1, 3, 3))),
                stride=stride, padding=padding)
 
 
 def test_conv2d_kernel_shared_by_two_calls_accumulates_both_gradients():
     rng = np.random.default_rng(13)
-    x1 = Tensor(rng.normal(size=(2, 3, 6, 6)))
-    x2 = Tensor(rng.normal(size=(3, 3, 5, 5)))
+    x1 = Tensor(_chwn(rng.normal(size=(2, 3, 6, 6))))
+    x2 = Tensor(_chwn(rng.normal(size=(3, 3, 5, 5))))
     k0 = rng.normal(size=(2, 3, 4, 4))
 
     def first(t):
