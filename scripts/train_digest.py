@@ -1,42 +1,40 @@
-"""Train acceptance criterion 6's with-OT configuration and print a digest.
+"""Train acceptance criterion 6's two arms and print a digest of each.
 
-For each seed, prints a `seed N` line, each epoch's metrics row,
-formatted as `metrics.csv` formats it, then the SHA-256 of every
-parameter's name and bytes, in name order, the SHA-256 of the
-criterion's held-out pair set (`make_pairs(te_labels, 50, 10, seed=999)`:
-its left, right, same and fold arrays, in that order), the SHA-256 of the
-held-out embeddings (`trainer.embed(te_images)`) and the criterion's
-verification accuracy on those pairs (10-fold `mean_accuracy`). Two source
-trees that print the same lines trained this configuration to the same
-bytes, embed the held-out images to the same bytes and score the same.
-Learning-rate milestones at or past `--epochs` are dropped, which leaves
-the schedule of the epochs that run unchanged. `--no-mining` trains the
+For each seed, trains the criterion's with-OT configuration and then the
 same configuration with mining off, the margin-only run the criterion
-compares against. Seeds 0 to 9 at 30 epochs, with and without
-`--no-mining`, are the criterion's twenty trainings; their accuracy lines
-are the criterion's per-seed figures. `--paired` trains both arms of every
-seed, with-OT first (the margin-only block's first line is `seed N
-no-mining`), and ends with one `paired` line: with-OT's wins, ties
-and losses in accuracy and the mean paired difference (with-OT minus
+compares against. Each training prints one block: a `seed N` line
+(`seed N no-mining` for margin-only), each epoch's metrics row, formatted
+as `metrics.csv` formats it, then the SHA-256 of every parameter's name
+and bytes, in name order, the SHA-256 of the criterion's held-out pair set
+(`make_pairs(te_labels, 50, 10, seed=999)`: its left, right, same and fold
+arrays, in that order), the SHA-256 of the held-out embeddings
+(`trainer.embed(te_images)`) and the criterion's verification accuracy on
+those pairs (10-fold `mean_accuracy`). Two source trees that print the
+same lines trained this configuration to the same bytes, embed the
+held-out images to the same bytes and score the same. Learning-rate
+milestones at or past `--epochs` are dropped, which leaves the schedule
+of the epochs that run unchanged. Seeds 0 to 9 at 30 epochs are the
+criterion's twenty trainings; their accuracy lines are the criterion's
+per-seed figures. The run ends with one `paired` line: with-OT's wins,
+ties and losses in accuracy and the mean paired difference (with-OT minus
 margin-only) with its standard error, over all seeds and over the seeds
-where margin-only reaches 0.9. `--jobs N` trains the seeds in N worker
-processes, started with the `spawn` method so that none inherits the
-parent's threads, and prints the same lines in the same order as `--jobs
-1`. `--json PATH` (with `--paired`) appends one entry for the run to the
-JSON list in PATH: the source tree's commit, the epochs, each seed's
-accuracy and params digest in both arms, and the `paired` line. If PATH
-already holds entries with the same epochs and seeds, one `against` line
-follows the `paired` line, read against the last of them: its commit,
-its mean paired difference over all seeds, this run's, the change, the
-floor of that mean less 2 of its standard errors, and `within_2se=yes`
-if this run's mean is at or above the floor (`no` if below).
+where margin-only reaches 0.9. `--jobs N` trains in N worker processes,
+started with the `spawn` method so that none inherits the parent's
+threads, each with one OpenBLAS thread unless the caller sets
+`OPENBLAS_NUM_THREADS`, and prints the same lines in the same order as
+`--jobs 1`. `--json PATH` appends one entry for the run to the JSON list
+in PATH: the source tree's commit, the epochs, each seed's accuracy and
+params digest in both arms, and the `paired` line. If PATH already holds
+entries with the same epochs and seeds, one `against` line follows the
+`paired` line, read against the last of them: its commit, its mean paired
+difference over all seeds, this run's, the change, the floor of that mean
+less 2 of its standard errors, and `within_2se=yes` if this run's mean is
+at or above the floor (`no` if below).
 
     python scripts/train_digest.py --src src --seed 0 --epochs 3
     python scripts/train_digest.py --src ../other/src --seed 0 --epochs 3
-    python scripts/train_digest.py --src src --seed 0 --epochs 3 --no-mining
     python scripts/train_digest.py --src src --seed 0 1 2 3 4 5 6 7 8 9 --epochs 30
-    python scripts/train_digest.py --src src --seed 0 1 2 3 4 5 6 7 8 9 --epochs 30 --paired
-    python scripts/train_digest.py --src src --seed $(seq 0 39) --epochs 30 --paired \
+    python scripts/train_digest.py --src src --seed $(seq 0 39) --epochs 30 \
         --jobs 2 --json SWEEP_criterion6.json
 """
 
@@ -49,6 +47,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -93,8 +92,7 @@ def _data(src: str):
     return train, test[0], pairs, digest.hexdigest()
 
 
-def _arm(src: str, epochs: int, paired: bool,
-         task: tuple[int, bool]) -> tuple[list[str], float, str]:
+def _arm(src: str, epochs: int, task: tuple[int, bool]) -> tuple[list[str], float, str]:
     """Train one arm; return its block's lines, its accuracy and its params digest."""
     seed, mining = task
     (images, labels), te_images, pairs, pairs_digest = _data(src)
@@ -116,7 +114,7 @@ def _arm(src: str, epochs: int, paired: bool,
         mining_enabled=mining, cap_per_anchor=1, hinge_margin=0.1,
         lambda_ot=0.2,
     )
-    lines = [f"seed {seed}" + (" no-mining" if paired and not mining else ""),
+    lines = [f"seed {seed}" + ("" if mining else " no-mining"),
              ",".join(METRICS_COLUMNS)]
     lines += [",".join(repr(row[c]) for c in METRICS_COLUMNS) for row in trainer.run()]
     digest = hashlib.sha256()
@@ -129,6 +127,22 @@ def _arm(src: str, epochs: int, paired: bool,
               f"embeddings sha256 {hashlib.sha256(embeddings.tobytes()).hexdigest()}",
               f"accuracy {accuracy!r}"]
     return lines, accuracy, digest.hexdigest()
+
+
+def _one_blas_thread() -> None:
+    """Run a worker's OpenBLAS on one thread unless the caller chose a count:
+    beside other workers, its default of one thread per CPU oversubscribes
+    the CPUs (two workers on 2 CPUs train an arm about four times slower)."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _workers(jobs: int):
+    """A pool of `jobs` spawn workers, each run through `_one_blas_thread`
+    before it loads numpy; a null context (no pool) for one job."""
+    if jobs == 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_one_blas_thread)
 
 
 def _against(entry: dict, diffs: list[float]) -> str:
@@ -161,32 +175,20 @@ def main() -> int:
                         help="directory that holds the otface package")
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--no-mining", action="store_true",
-                        help="train margin-only (mining_enabled=False)")
-    parser.add_argument("--paired", action="store_true",
-                        help="train both arms of every seed and summarise their differences")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes that train the seeds")
     parser.add_argument("--json", type=Path,
                         help="append this run's per-seed record to the JSON list in this file")
     args = parser.parse_args()
-    if args.paired and args.no_mining:
-        parser.error("--paired trains both arms; drop --no-mining")
-    if args.json and not args.paired:
-        parser.error("--json records both arms; add --paired")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    arms = (True, False) if args.paired else (not args.no_mining,)
-    tasks = [(seed, mining) for seed in args.seed for mining in arms]
-    train = functools.partial(_arm, str(args.src.resolve()), args.epochs, args.paired)
+    tasks = [(seed, mining) for seed in args.seed for mining in (True, False)]
+    train = functools.partial(_arm, str(args.src.resolve()), args.epochs)
     results = []
-    with (ProcessPoolExecutor(args.jobs, mp_context=multiprocessing.get_context("spawn"))
-          if args.jobs > 1 else contextlib.nullcontext()) as pool:
+    with _workers(args.jobs) as pool:
         for lines, accuracy, params in (pool.map if pool else map)(train, tasks):
             print("\n".join(lines), flush=True)
             results.append((accuracy, params))
-    if not args.paired:
-        return 0
     pairs = list(zip(results[::2], results[1::2]))
     paired = "paired " + "; ".join(
         _summary(label, [(ot[0], margin[0]) for ot, margin in pairs if margin[0] >= floor])

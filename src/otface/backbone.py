@@ -30,6 +30,9 @@ _DOWN_KERNEL = 4
 # OpenBLAS's dgemm runs a product of at most this many multiply-adds through
 # its small-matrix kernel, which sums a dot product in another order.
 _BLAS_SMALL_GEMM = 100 ** 3
+# Images per untaped forward in `embed`. An image's embedding bytes can
+# depend on how many images share its chunk (README, "Numerical notes").
+EMBED_CHUNK = 256
 
 
 @dataclass
@@ -71,9 +74,6 @@ class BackboneConfig:
         if stage == 0:
             return self.kernel_size, 1, self.kernel_size // 2
         return _DOWN_KERNEL, 2, (_DOWN_KERNEL - 2) // 2
-
-    def tap_spatial(self) -> int:
-        return self.input_size // (2 ** self.tap_stage)
 
 
 @dataclass
@@ -226,15 +226,12 @@ def to_distribution(feature_maps: Tensor) -> Tensor:
     return fm.reshape(*batch, d, h * w).mT
 
 
-def embed(images: np.ndarray, params: dict[str, Tensor], cfg: BackboneConfig,
-          batch_size: int = 256) -> np.ndarray:
-    """Unit-norm embeddings of `images`, in chunks of `batch_size`, from
+def embed(images: np.ndarray, params: dict[str, Tensor], cfg: BackboneConfig) -> np.ndarray:
+    """Unit-norm embeddings of `images`, in chunks of `EMBED_CHUNK`, from
     untaped copies of `params`."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
     if len(images) == 0:
         raise ContractError("embed needs at least one image, got none")
     frozen = {k: Tensor(v.data) for k, v in params.items()}
-    chunks = [forward(Tensor(images[i:i + batch_size]), frozen, cfg).embedding.data
-              for i in range(0, images.shape[0], batch_size)]
+    chunks = [forward(Tensor(images[i:i + EMBED_CHUNK]), frozen, cfg).embedding.data
+              for i in range(0, images.shape[0], EMBED_CHUNK)]
     return np.concatenate(chunks, axis=0)

@@ -75,6 +75,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = cfg_mod.load_config(args.config, args.set)
+    for key in (item.partition("=")[0] for item in args.set):
+        if key.partition(".")[0] == "eval":
+            raise ConfigurationError(f"otface train does not read config key {key!r}")
     if cfg["data"]["manifest"] is None:
         raise ConfigurationError("data.manifest must point to a dataset directory")
     every = cfg["trainer"]["checkpoint_every"]

@@ -29,10 +29,6 @@ class PairSet:
         if not (self.right.shape[0] == self.same.shape[0] == self.fold.shape[0] == n):
             raise ContractError("pair arrays must be aligned")
 
-    @property
-    def num_folds(self) -> int:
-        return int(self.fold.max()) + 1 if self.fold.size else 0
-
 
 @dataclass
 class VerificationReport:

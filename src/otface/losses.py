@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from .mining import HardGroup, LabeledBatch, mine_hard_groups
 from .ot import SinkhornConfig, ot_distance, ot_pair_distances  # noqa: F401
 from .tensor import Tensor, as_tensor, normalize_cols, normalize_rows
 
-MARGIN_VARIANTS = ("plain", "additive_cosine", "additive_angular")
+MARGIN_VARIANTS = ("additive_cosine", "additive_angular")
 
 
 @dataclass
@@ -28,10 +29,11 @@ class MarginConfig:
                 f"unknown margin variant {self.variant!r}; "
                 f"expected one of {MARGIN_VARIANTS}"
             )
-        if self.scale <= 0.0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
-        if self.margin < 0.0:
-            raise ConfigurationError(f"margin must be nonnegative, got {self.margin}")
+        # NaN fails both comparisons
+        if not 0.0 < self.scale <= sys.float_info.max:
+            raise ConfigurationError(f"scale must be positive and finite, got {self.scale}")
+        if not 0.0 <= self.margin <= sys.float_info.max:
+            raise ConfigurationError(f"margin must be nonnegative and finite, got {self.margin}")
         if self.variant == "additive_angular" and self.margin >= math.pi / 2:
             raise ConfigurationError(
                 f"angular margin must be < pi/2, got {self.margin}"
@@ -75,7 +77,7 @@ class LossBreakdown:
 def margin_logits(embeddings: Tensor, weights: ClassifierWeights,
                   labels, cfg: MarginConfig) -> Tensor:
     """Scaled (N, C) cosine logits of an (N, d) batch with (N,) labels, the
-    target class penalized per variant."""
+    target class penalized per variant (not at all at margin 0)."""
     cfg.validate()
     e = as_tensor(embeddings)
     if len(e.shape) != 2:
@@ -92,7 +94,7 @@ def margin_logits(embeddings: Tensor, weights: ClassifierWeights,
     cosine = (normalize_rows(e) @ weights.normalized()).clip(-1.0, 1.0)
     onehot = np.zeros((e.shape[0], weights.num_classes))
     onehot[np.arange(e.shape[0]), labels_arr] = 1.0
-    if cfg.variant == "plain" or cfg.margin == 0.0:
+    if cfg.margin == 0.0:
         adjusted = cosine
     elif cfg.variant == "additive_cosine":
         adjusted = cosine - cfg.margin * onehot

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,13 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 2")
         if self.epochs <= 0:
             raise ConfigurationError("epochs must be positive")
+        # NaN fails both comparisons
+        if not 0.0 < self.lr <= sys.float_info.max:
+            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("momentum", "weight_decay"):
+            if not 0.0 <= getattr(self, name) <= sys.float_info.max:
+                raise ConfigurationError(
+                    f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         ms = tuple(self.lr_milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])) or any(
             not 0 < m < self.epochs for m in ms
@@ -208,6 +216,6 @@ class Trainer:
     def run(self) -> list[dict]:
         return [self.train_epoch() for _ in range(self.train_cfg.epochs)]
 
-    def embed(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def embed(self, images: np.ndarray) -> np.ndarray:
         """Embeddings for evaluation; no tape is built."""
-        return embed(images, self.state.params, self.backbone_cfg, batch_size)
+        return embed(images, self.state.params, self.backbone_cfg)

@@ -43,13 +43,6 @@ def test_default_config_shapes():
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
-def test_tap_spatial_matches_stage_halving():
-    cfg = BackboneConfig()
-    for stage in range(4):
-        tapped = BackboneConfig(tap_stage=stage)
-        assert tapped.tap_spatial() == 32 // 2 ** stage
-
-
 def test_zero_image_gives_zero_feature_maps():
     cfg = small_cfg()
     params = init_params(cfg, np.random.default_rng(2))
@@ -69,15 +62,16 @@ def test_forward_is_deterministic():
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_embed_does_not_depend_on_chunk_size():
+def test_embed_does_not_depend_on_chunk_size(monkeypatch):
     # the batch shares the conv GEMMs' column dimension; chunking must not
     # couple samples
     cfg = BackboneConfig(input_size=16, stage_channels=(8, 16, 16),
                          embedding_dim=32, tap_stage=2)
     params = init_params(cfg, np.random.default_rng(14))
     images = np.random.default_rng(15).normal(size=(40, 1, 16, 16))
-    small = embed(images, params, cfg, batch_size=7)
-    whole = embed(images, params, cfg, batch_size=256)
+    whole = embed(images, params, cfg)
+    monkeypatch.setattr(backbone, "EMBED_CHUNK", 7)
+    small = embed(images, params, cfg)
     assert small.shape == (40, 32)
     assert np.max(np.abs(small - whole)) < 1e-12
 
@@ -239,15 +233,11 @@ def test_a_forked_child_embeds_the_parents_bytes(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def test_embed_rejects_a_bad_batch_size_or_no_images():
+def test_embed_rejects_no_images():
     cfg = BYTE_PIN_CONFIGS["acceptance"]
     params = init_params(cfg, np.random.default_rng(29))
-    images = np.zeros((5, 1, 16, 16))
-    for batch_size in (0, -3):
-        with pytest.raises(ConfigurationError, match=rf"batch_size .*{batch_size}"):
-            embed(images, params, cfg, batch_size=batch_size)
     with pytest.raises(ContractError, match="at least one image"):
-        embed(images[:0], params, cfg)
+        embed(np.zeros((0, 1, 16, 16)), params, cfg)
 
 
 def test_untaped_outputs_do_not_alias_a_later_call():
@@ -330,7 +320,7 @@ def test_n_equals_hw_for_all_taps():
         out = forward(Tensor(np.random.default_rng(9).normal(size=(1, 1, 8, 8))),
                       params, cfg)
         dist = to_distribution(out.feature_maps.gather(0))
-        side = cfg.tap_spatial()
+        side = 8 // 2 ** stage
         assert dist.shape == (side * side, cfg.stage_channels[stage])
 
 

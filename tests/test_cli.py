@@ -449,6 +449,9 @@ BAD_VALUES = [
     ({}, ["backbone.in_channels=0"], "in_channels"),
     ({}, ["backbone.embedding_dim=0"], "embedding_dim"),
     ({}, ["backbone.stage_channels=[4,0]"], "stage_channels"),
+    # training never reads `eval`
+    ({}, ["eval.folds=1"], "eval.folds"),
+    ({}, ["eval.far_targets=[5.0]"], "eval.far_targets"),
 ]
 
 
@@ -466,6 +469,15 @@ def test_train_rejects_bad_config_values_naming_the_key(tmp_path, capsys, doc, s
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_train_takes_a_config_file_with_an_eval_section(tmp_path):
+    # a `--set eval.*` key is rejected (BAD_VALUES), a config file is taken whole
+    data = gen_dataset(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eval": {"folds": 3}}))
+    out = train_run(tmp_path, data, "run", extra=["--config", str(path)])
+    assert json.loads((out / "config.json").read_text())["eval"]["folds"] == 3
 
 
 def test_train_without_manifest_exits_nonzero(tmp_path, capsys):

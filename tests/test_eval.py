@@ -331,7 +331,7 @@ def test_rank1_rejects_nan_probe_row():
 def test_make_pairs_balanced_folds():
     labels = np.repeat(np.arange(4), 5)
     pairs = make_pairs(labels, pairs_per_fold=6, num_folds=5, seed=3)
-    assert pairs.num_folds == 5
+    assert np.array_equal(np.unique(pairs.fold), np.arange(5))
     for f in range(5):
         held = pairs.fold == f
         assert held.sum() == 12

@@ -44,6 +44,18 @@ def test_margin_config_validation():
         MarginConfig(variant="additive_angular", margin=math.pi / 2).validate()
     with pytest.raises(ConfigurationError):
         MarginConfig(scale=0.0).validate()
+    # margin 0 is the plain cosine head; there is no variant for it
+    with pytest.raises(ConfigurationError, match="unknown margin variant 'plain'"):
+        MarginConfig(variant="plain", margin=0.0).validate()
+
+
+@pytest.mark.parametrize("variant", ["additive_cosine", "additive_angular"])
+@pytest.mark.parametrize("field,value", [
+    ("scale", math.nan), ("scale", math.inf), ("scale", -1.0),
+    ("margin", math.nan), ("margin", math.inf), ("margin", -0.1)])
+def test_margin_config_rejects_a_non_finite_or_out_of_range_value(variant, field, value):
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+        MarginConfig(variant=variant, **{field: value}).validate()
 
 
 def test_classifier_columns_normalize_to_unit():
@@ -78,10 +90,11 @@ def test_zero_margin_collapses_all_variants():
     outs = [
         margin_logits(emb, w, labels,
                       MarginConfig(variant=v, scale=12.0, margin=0.0)).data
-        for v in ("plain", "additive_cosine", "additive_angular")
+        for v in ("additive_cosine", "additive_angular")
     ]
     assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    cosine = (normalize_rows(emb) @ w.normalized()).data.clip(-1.0, 1.0)
+    assert np.array_equal(outs[0], cosine * 12.0)
 
 
 def test_margin_only_shrinks_target_logit():
@@ -89,7 +102,7 @@ def test_margin_only_shrinks_target_logit():
     w = ClassifierWeights.init_random(6, 4, rng)
     emb = Tensor(rng.normal(size=(8, 6)))
     labels = rng.integers(0, 4, size=8)
-    plain = margin_logits(emb, w, labels, MarginConfig("plain", 10.0, 0.0)).data
+    plain = margin_logits(emb, w, labels, MarginConfig("additive_cosine", 10.0, 0.0)).data
     for variant in ("additive_cosine", "additive_angular"):
         marged = margin_logits(emb, w, labels,
                                MarginConfig(variant, 10.0, 0.3)).data

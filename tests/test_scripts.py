@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,17 +12,24 @@ from otface.cli import METRICS_COLUMNS
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_train_digest_prints_metrics_rows_and_both_digests():
-    done = subprocess.run(
+def _digest(*extra):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "train_digest.py"), "--src", str(ROOT / "src"),
-         "--epochs", "1", "--seed", "0", "1"],
+         "--epochs", "1", "--seed", "0", "1", *extra],
         capture_output=True, text=True, timeout=300, check=True,
-    )
-    lines = done.stdout.splitlines()
-    assert len(lines) == 14
-    blocks = [lines[:7], lines[7:]]
-    for seed, (title, header, row, params, pairs, embeddings, accuracy) in enumerate(blocks):
-        assert title == f"seed {seed}"
+    ).stdout
+
+
+@pytest.fixture(scope="module")
+def digest():
+    return _digest()
+
+
+def test_train_digest_prints_metrics_rows_and_both_digests(digest):
+    lines = digest.splitlines()
+    assert len(lines) == 4 * 7 + 1
+    blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
+    for _, header, row, params, pairs, embeddings, accuracy in blocks:
         assert header == ",".join(METRICS_COLUMNS)
         values = row.split(",")
         assert len(values) == len(METRICS_COLUMNS) and values[0] == "0"
@@ -30,25 +38,12 @@ def test_train_digest_prints_metrics_rows_and_both_digests():
         assert re.fullmatch(r"embeddings sha256 [0-9a-f]{64}", embeddings)
         assert 0.0 <= float(re.fullmatch(r"accuracy (\S+)", accuracy)[1]) <= 1.0
     # the seed moves the training and so the embeddings, not the held-out pairs
-    assert blocks[0][3] != blocks[1][3] and blocks[0][4] == blocks[1][4]
-    assert blocks[0][5] != blocks[1][5]
+    for seed0, seed1 in zip(blocks[:2], blocks[2:]):
+        assert seed0[3] != seed1[3] and seed0[4] == seed1[4] and seed0[5] != seed1[5]
 
 
-def _paired_digest(*extra):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "train_digest.py"), "--src", str(ROOT / "src"),
-         "--epochs", "1", "--seed", "0", "1", "--paired", *extra],
-        capture_output=True, text=True, timeout=300, check=True,
-    ).stdout
-
-
-@pytest.fixture(scope="module")
-def paired_digest():
-    return _paired_digest()
-
-
-def test_train_digest_paired_trains_both_arms_and_summarises_them(paired_digest):
-    lines = paired_digest.splitlines()
+def test_train_digest_paired_trains_both_arms_and_summarises_them(digest):
+    lines = digest.splitlines()
     assert len(lines) == 4 * 7 + 1
     blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
     assert [b[0] for b in blocks] == ["seed 0", "seed 0 no-mining", "seed 1", "seed 1 no-mining"]
@@ -68,13 +63,27 @@ def test_train_digest_paired_trains_both_arms_and_summarises_them(paired_digest)
     assert int(match[6]) == sum(margin >= 0.9 for margin in accuracies[1::2])
 
 
-def test_train_digest_jobs_print_the_serial_lines_and_append_a_record(paired_digest, tmp_path):
+@pytest.mark.parametrize("caller,want", [(None, "1"), ("2", "2")])
+def test_train_digest_workers_run_one_blas_thread_unless_the_caller_sets_it(
+        monkeypatch, caller, want):
+    # OpenBLAS's default threads in each of two workers oversubscribe 2 CPUs
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import train_digest
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    with train_digest._workers(2) as pool:
+        assert set(pool.map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 4)) == {want}
+
+
+def test_train_digest_jobs_print_the_serial_lines_and_append_a_record(digest, tmp_path):
     record = tmp_path / "sweep.json"
     record.write_text('[{"commit": "earlier"}]')
-    assert _paired_digest("--jobs", "2", "--json", str(record)) == paired_digest
+    assert _digest("--jobs", "2", "--json", str(record)) == digest
     earlier, entry = json.loads(record.read_text())
     assert earlier == {"commit": "earlier"}
-    lines = paired_digest.splitlines()
+    lines = digest.splitlines()
     assert entry["epochs"] == 1 and entry["paired"] == lines[-1]
     assert [seed["seed"] for seed in entry["seeds"]] == [0, 1]
     blocks = [lines[i:i + 7] for i in range(0, 28, 7)]
@@ -84,7 +93,7 @@ def test_train_digest_jobs_print_the_serial_lines_and_append_a_record(paired_dig
             assert block[6] == f"accuracy {seed[arm]['accuracy']!r}"
 
 
-def test_train_digest_json_reads_the_run_against_an_earlier_entry(paired_digest, tmp_path):
+def test_train_digest_json_reads_the_run_against_an_earlier_entry(digest, tmp_path):
     # two entries: one of the same epochs and seeds, whose diffs +0.01 and
     # +0.03 give mean +0.02 and SE 0.01, so floor 0; one of other epochs
     record = tmp_path / "sweep.json"
@@ -92,8 +101,8 @@ def test_train_digest_json_reads_the_run_against_an_earlier_entry(paired_digest,
              for seed, diff in ((0, 0.01), (1, 0.03))]
     record.write_text(json.dumps([{"commit": "same", "epochs": 1, "seeds": seeds},
                                   {"commit": "other", "epochs": 30, "seeds": seeds}]))
-    lines = _paired_digest("--json", str(record)).splitlines()
-    assert "\n".join(lines[:-1]) + "\n" == paired_digest
+    lines = _digest("--json", str(record)).splitlines()
+    assert "\n".join(lines[:-1]) + "\n" == digest
     accuracies = [float(line.split()[1]) for line in lines if line.startswith("accuracy ")]
     now = (accuracies[0] - accuracies[1] + accuracies[2] - accuracies[3]) / 2
     match = re.fullmatch(r"against same mean_diff=\+0\.0200 now=(\S+) change=(\S+) "

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ def test_train_config_validation():
         TrainConfig(batch_size=64, sampler_p=2, sampler_k=2).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -0.1),
+    ("momentum", math.nan), ("momentum", math.inf), ("momentum", -0.1),
+    ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1e-4)])
+def test_train_config_rejects_a_non_finite_or_out_of_range_value(field, value):
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+        TrainConfig(**{field: value}).validate()
+
+
 def _trainer(images, labels, seed=0, **kwargs):
     return Trainer(images, labels, tiny_backbone(), MarginConfig(scale=8.0),
                    SinkhornConfig(epsilon=0.1, unroll_iters=10),
@@ -169,11 +179,9 @@ def test_embed_shape_and_norm(tmp_path):
     assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-9
 
 
-def test_embed_rejects_a_bad_batch_size_or_no_images(tmp_path):
+def test_embed_rejects_no_images(tmp_path):
     images, labels = _dataset(tmp_path, 0.5, "d")
     trainer = _trainer(images, labels)
-    with pytest.raises(ConfigurationError, match="batch_size must be at least 1, got 0"):
-        trainer.embed(images, batch_size=0)
     with pytest.raises(ContractError, match="at least one image"):
         trainer.embed(images[:0])
 
